@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig
-from repro.hw.blocks import encoder_block
 from repro.hw.controller import LatencyModel
 from repro.hw.kernels import Fabric
+from repro.hw.program import execute_program, lower_encoder_layer_program
 from repro.model.encoder import encoder_layer
 from repro.model.params import init_transformer_params
 
@@ -24,8 +24,11 @@ FABRIC = Fabric()
 
 def test_functional_encoder_on_fabric(benchmark):
     """One encoder layer through the striped hardware dataflow."""
-    result = benchmark(encoder_block, FABRIC, X, LAYER)
-    assert result.output.shape == (32, 512)
+    program = lower_encoder_layer_program(FABRIC, 32)
+    run = benchmark(
+        execute_program, program, root=LAYER, inputs={"x": X, "mask": None}
+    )
+    assert run.outputs["output"].shape == (32, 512)
 
 
 def test_reference_encoder_numpy(benchmark):

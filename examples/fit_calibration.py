@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Re-fit the cycle-model calibration constants against Table 5.1.
 
-    python examples/fit_calibration.py        (~1-2 minutes)
+    python examples/fit_calibration.py        (~5 minutes on one core)
 
 Minimizes squared log-latency error over the twelve Table 5.1 cells,
 with soft constraints pinning the Fig 5.2 crossover near s = 18 and the
@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.config import CalibrationConfig, HardwareConfig
-from repro.hw.blocks import ffn_cycles, mha_cycles
 from repro.hw.controller import LatencyModel
+from repro.hw.program import block_compute_cycles, lower_ffn_program, lower_mha_program
 
 PAPER = {
     4: {"A1": 65.87, "A2": 53.45, "A3": 33.92},
@@ -37,6 +37,13 @@ def build(x: np.ndarray) -> LatencyModel:
     return LatencyModel(hardware=hardware, calibration=calibration)
 
 
+def ffn_mha_ratio(lm: LatencyModel) -> float:
+    """FFN / MHA block compute cycles at s = 32 (Section 5.1.4)."""
+    mha = lower_mha_program(lm.fabric, 32, 32, 8, 512)
+    ffn = lower_ffn_program(lm.fabric, 32, 512, 2048)
+    return block_compute_cycles(ffn, "ffn") / block_compute_cycles(mha, "mha")
+
+
 def loss(x: np.ndarray) -> float:
     if min(x[0], x[1]) < 1.0 or x[2] < 0 or x[3] < 0 or x[4] <= 0.1:
         return 1e9
@@ -50,9 +57,7 @@ def loss(x: np.ndarray) -> float:
     except ValueError:
         return 1e9
     err += 0.02 * (crossover - 18.5) ** 2
-    ratio = ffn_cycles(lm.fabric, 32, 512, 2048) / mha_cycles(
-        lm.fabric, 32, 32, 8, 512
-    )
+    ratio = ffn_mha_ratio(lm)
     err += 0.5 * (np.log(ratio) - np.log(2.0)) ** 2
     return err
 
@@ -89,9 +94,7 @@ def main() -> None:
             print(f"  s={s:2d} {arch}: paper {paper_ms:7.2f}  "
                   f"model {ours:7.2f}  ({100 * (ours / paper_ms - 1):+5.1f}%)")
     print(f"crossover: s = {lm.crossover_sequence_length()} (target ~19)")
-    ratio = ffn_cycles(lm.fabric, 32, 512, 2048) / mha_cycles(
-        lm.fabric, 32, 32, 8, 512
-    )
+    ratio = ffn_mha_ratio(lm)
     print(f"FFN/MHA ratio @ s=32: {ratio:.2f} (target ~2)")
 
 

@@ -9,12 +9,6 @@ the m/f split loads) and the per-block cycle budget behind Fig 4.13.
 
 from repro.analysis.report import format_table
 from repro.config import ModelConfig
-from repro.hw.blocks import (
-    add_norm_cycles,
-    attention_head_cycles,
-    ffn_cycles,
-    mha_cycles,
-)
 from repro.hw.controller import LatencyModel
 from repro.hw.kernels import (
     mm1_cycles,
@@ -23,6 +17,13 @@ from repro.hw.kernels import (
     mm4_cycles,
     mm5_cycles,
     mm6_cycles,
+)
+from repro.hw.program import (
+    block_compute_cycles,
+    lower_encoder_layer_program,
+    lower_ffn_program,
+    lower_mha_program,
+    trace_block,
 )
 from repro.hw.scheduler import schedule
 from repro.hw.visualize import render_gantt
@@ -52,29 +53,32 @@ def main() -> None:
     print("\nFig 4.13 — per-operation cycle budget inside one encoder "
           "(s = 32):")
     fab = lm.fabric
+    encoder_trace = trace_block(lower_encoder_layer_program(fab, 32))
+    head = max(e.end for e in encoder_trace.events if e.label.startswith("h0:"))
+    (add_norm,) = [
+        e.end - e.start for e in encoder_trace.events if e.label == "Add-Norm1"
+    ]
+    mha = block_compute_cycles(lower_mha_program(fab, 32, 32, 8, 512), "mha")
+    ffn = block_compute_cycles(lower_ffn_program(fab, 32, 512, 2048), "ffn")
     rows = [
         ["MM1 (one of 3 per head)", mm1_cycles(fab, 32, 512, 64)],
         ["MM2 (QK^T, padded)", mm2_cycles(fab, 32, 32, 64)],
         ["MM3 (SmV, padded)", mm3_cycles(fab, 32, 32, 64)],
-        ["attention head total", attention_head_cycles(fab, 32, 32, 512, 64)],
+        ["attention head total", int(head)],
         ["MM4 (8 PSAs)", mm4_cycles(fab, 32, 8, 64, 512)],
-        ["MHA block", mha_cycles(fab, 32, 32, 8, 512)],
+        ["MHA block", mha],
         ["MM5 (8 PSAs)", mm5_cycles(fab, 32, 512, 2048)],
         ["MM6 (8 PSAs)", mm6_cycles(fab, 32, 2048, 512)],
-        ["FFN block", ffn_cycles(fab, 32, 512, 2048)],
-        ["Add-Norm", add_norm_cycles(fab, 32, 512)],
+        ["FFN block", ffn],
+        ["Add-Norm", int(add_norm)],
     ]
     print(format_table(["operation", "cycles @300 MHz"], rows))
-    mha = mha_cycles(fab, 32, 32, 8, 512)
-    ffn = ffn_cycles(fab, 32, 512, 2048)
     print(f"FFN / MHA latency ratio: {ffn / mha:.2f} "
           "(paper: FFN ~ 2x the MHA block)")
 
     print("\nFig 4.13 — per-engine trace of one encoder (s = 32, "
           "8 parallel heads):")
-    from repro.hw.block_trace import trace_encoder_block
-
-    print(render_gantt(trace_encoder_block(fab, 32), width=110))
+    print(render_gantt(encoder_trace, width=110))
 
 
 if __name__ == "__main__":

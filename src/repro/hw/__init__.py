@@ -7,10 +7,9 @@ Layers (bottom-up):
 * :mod:`repro.hw.memory` — HBM / PCIe / BRAM models and weight sizing.
 * :mod:`repro.hw.kernels` — the MM1..MM6 stripe schedules.
 * :mod:`repro.hw.program` — the op-level block-program IR: one
-  lowering of the Fig 4.13 schedule feeds the functional, cycle and
-  trace executors.
-* :mod:`repro.hw.blocks` — attention-head / MHA / FFN / encoder /
-  decoder execution per Fig 4.13 (facades over the program IR).
+  lowering of the Fig 4.13 schedule (attention heads, MHA, FFN,
+  encoder and decoder layers) feeds the functional, cycle and trace
+  executors; it is the only derivation of compute cycles.
 * :mod:`repro.hw.scheduler` — the A1/A2/A3 load-compute overlap
   architectures.
 * :mod:`repro.hw.controller` — the top-level controller + cycle model.
@@ -27,7 +26,6 @@ from repro.hw.accelerator import (
 )
 from repro.hw.kv_cache import DecoderKVCache, modeled_resident_bytes
 from repro.hw.adder import VectorAdder
-from repro.hw.block_trace import trace_attention_head, trace_encoder_block
 from repro.hw.faults import FaultSpec, inject_faults, measure_impact
 from repro.hw.multicard import multicard_throughput, saturation_point, scaling_sweep
 from repro.hw.verification import verify_case, verify_equivalence
@@ -104,8 +102,6 @@ __all__ = [
     "modeled_resident_bytes",
     "step_batch",
     "VectorAdder",
-    "trace_attention_head",
-    "trace_encoder_block",
     "FaultSpec",
     "inject_faults",
     "measure_impact",

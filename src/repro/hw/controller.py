@@ -5,12 +5,12 @@ and produces latency reports.
 Two entry points:
 
 * :class:`LatencyModel` — the data-free cycle model.  Given the model
-  and hardware configurations it builds the per-block load/compute
-  durations and runs the A1/A2/A3 schedulers (Tables 5.1/5.3,
-  Fig 5.2).
+  and hardware configurations it reads the per-block load/compute
+  durations from the lowered block program and runs the A1/A2/A3
+  schedulers (Tables 5.1/5.3, Fig 5.2).
 * :class:`AcceleratorController` — the functional simulator.  It runs
-  the actual fp32 dataflow through the block implementations (the same
-  cycle numbers fall out) and returns outputs plus a
+  the actual fp32 dataflow through the same block programs (so the
+  same cycle numbers fall out) and returns outputs plus a
   :class:`LatencyReport`.
 """
 
@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import CalibrationConfig, HardwareConfig, ModelConfig
-from repro.hw.blocks import decoder_cycles, decoder_step_cycles, encoder_cycles
 from repro.hw.kernels import Fabric
 from repro.hw.kv_cache import DecoderKVCache, batch_layer_caches
 from repro.hw.memory import (
@@ -35,9 +34,11 @@ from repro.hw.memory import (
 )
 from repro.hw.program import (
     BlockProgram,
+    block_compute_cycles,
     execute_program,
     lower_decode_step,
     lower_decoder_stack,
+    lower_encoder_layer_program,
     lower_encoder_stack,
     lower_full_pass,
     program_block_work,
@@ -46,6 +47,29 @@ from repro.hw.scheduler import Architecture, BlockWork, ScheduleResult, schedule
 from repro.model.params import TransformerParams
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
+
+
+def _positive_int(name: str, value: object) -> int:
+    """``value`` as an ``int``; a Python or NumPy integer above zero
+    (never a bool) is accepted, anything else raises a ValueError that
+    names the parameter."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value <= 0
+    ):
+        raise ValueError(f"{name} must be a positive integer; got {value!r}")
+    return int(value)
+
+
+def _decoder_parts(program: BlockProgram) -> tuple[int, int]:
+    """(mha_part, ffn_part) compute cycles of the program's first
+    decoder layer — the Fig 4.11 split: M-MHA + cross MHA with their
+    Add-Norms, then the FFN with its Add-Norm."""
+    return (
+        block_compute_cycles(program, "dec1m"),
+        block_compute_cycles(program, "dec1f"),
+    )
 
 
 @dataclass(frozen=True)
@@ -121,37 +145,28 @@ class LatencyModel:
 
     # --------------------------------------------------------- compute
     def encoder_compute_cycles(self, s: int) -> int:
+        """Compute cycles of one encoder layer, read from the
+        single-layer program (cheaper to lower than the full pass)."""
         cfg = self.model
-        return encoder_cycles(
-            self.fabric, s, cfg.num_heads, cfg.d_model, cfg.d_ff, self.parallel_heads
-        )
-
-    def decoder_compute_cycles(self, s: int, t: int | None = None) -> tuple[int, int]:
-        cfg = self.model
-        t = s if t is None else t
-        return decoder_cycles(
+        program = lower_encoder_layer_program(
             self.fabric,
-            t,
-            s,
+            _positive_int("s", s),
             cfg.num_heads,
             cfg.d_model,
             cfg.d_ff,
             self.parallel_heads,
         )
+        return block_compute_cycles(program, "enc1")
+
+    def decoder_compute_cycles(self, s: int, t: int | None = None) -> tuple[int, int]:
+        """(mha_part, ffn_part) cycles of one decoder layer in the full
+        pass over ``t`` target rows (default ``s``)."""
+        return _decoder_parts(self.full_pass_program(s, t))
 
     def decoder_step_compute_cycles(self, t: int, s: int) -> tuple[int, int]:
         """(mha_part, ffn_part) cycles of one decoder layer for the
         KV-cached step at prefix length ``t`` over an ``s``-row memory."""
-        cfg = self.model
-        return decoder_step_cycles(
-            self.fabric,
-            t,
-            s,
-            cfg.num_heads,
-            cfg.d_model,
-            cfg.d_ff,
-            self.parallel_heads,
-        )
+        return _decoder_parts(self.decode_step_program(t, s))
 
     def mha_ffn_load_compute(self, s: int) -> tuple[float, float]:
         """Load and compute time (ms) of one MHA + FFN block — the
@@ -176,11 +191,19 @@ class LatencyModel:
     def full_pass_program(self, s: int, t: int | None = None) -> BlockProgram:
         """The lowered block program of one full encoder/decoder pass
         (cached; the same lowering feeds blocks, schedules and traces)."""
+        s = _positive_int("s", s)
+        t = None if t is None else _positive_int("t", t)
         return lower_full_pass(self.model, self.fabric, s, t, self.parallel_heads)
 
     def decode_step_program(self, t: int, s: int) -> BlockProgram:
         """The lowered block program of one KV-cached decode step."""
-        return lower_decode_step(self.model, self.fabric, t, s, self.parallel_heads)
+        return lower_decode_step(
+            self.model,
+            self.fabric,
+            _positive_int("t", t),
+            _positive_int("s", s),
+            self.parallel_heads,
+        )
 
     # --------------------------------------------------------- blocks
     def build_blocks(
@@ -194,6 +217,31 @@ class LatencyModel:
         Fig 4.11; under A1/A2 a decoder is one unit.
         """
         return program_block_work(self.full_pass_program(s, t), architecture)
+
+    def _schedule_chain(
+        self,
+        members: Sequence[tuple[str, Sequence[BlockWork]]],
+        architecture: Architecture,
+        share_loads: bool = False,
+    ) -> ScheduleResult:
+        """Schedule ``(tag, blocks)`` members back to back as one chain.
+
+        Every block is relabelled ``{tag}{label}``.  With
+        ``share_loads`` only the first member streams its weights; the
+        later members compute against the resident panels.
+        """
+        chain = [
+            BlockWork(
+                f"{tag}{b.label}",
+                b.load_cycles if i == 0 or not share_loads else 0,
+                b.compute_cycles,
+                channel_hint=b.channel_hint,
+                overhead_override=b.overhead_override,
+            )
+            for i, (tag, blocks) in enumerate(members)
+            for b in blocks
+        ]
+        return schedule(architecture, chain, self.calibration.block_overhead_cycles)
 
     # ---------------------------------------------------------- report
     def io_transfer_cycles(self, s: int) -> tuple[int, int]:
@@ -209,12 +257,12 @@ class LatencyModel:
         self, s: int, architecture: Architecture | str = Architecture.A3
     ) -> LatencyReport:
         """Predicted end-to-end accelerator latency at sequence length s."""
-        if s <= 0:
-            raise ValueError("s must be positive")
         arch = Architecture(architecture)
-        blocks = self.build_blocks(s, arch)
+        program = self.full_pass_program(s)
+        blocks = program_block_work(program, arch)
         result = schedule(arch, blocks, self.calibration.block_overhead_cycles)
         t_in, t_out = self.io_transfer_cycles(s)
+        cfg = self.model
         return LatencyReport(
             architecture=arch,
             schedule_cycles=result.total_cycles,
@@ -224,9 +272,13 @@ class LatencyModel:
             schedule=result,
             details={
                 "encoder_load_cycles": self.encoder_load_cycles(),
-                "encoder_compute_cycles": self.encoder_compute_cycles(s),
+                "encoder_compute_cycles": (
+                    block_compute_cycles(program, "enc1") if cfg.num_encoders else 0
+                ),
                 "decoder_load_cycles": self.decoder_load_cycles(),
-                "decoder_compute_cycles": sum(self.decoder_compute_cycles(s)),
+                "decoder_compute_cycles": (
+                    sum(_decoder_parts(program)) if cfg.num_decoders else 0
+                ),
                 "stall_cycles": result.stall_cycles,
             },
         )
@@ -242,28 +294,13 @@ class LatencyModel:
         t: int,
         s: int,
         architecture: Architecture | str = Architecture.A3,
-        tag: str = "",
     ) -> list[BlockWork]:
         """Decoder-only block chain for one KV-cached decode step at
         prefix length ``t``.  The encoder ran at prefill; each step
         still streams every decoder's weights (the device buffers hold
         one block's panels at a time), but computes only a 1-row query.
         """
-        if t <= 0 or s <= 0:
-            raise ValueError("t and s must be positive")
-        blocks = program_block_work(self.decode_step_program(t, s), architecture)
-        if not tag:
-            return blocks
-        return [
-            BlockWork(
-                f"{tag}{b.label}",
-                b.load_cycles,
-                b.compute_cycles,
-                channel_hint=b.channel_hint,
-                overhead_override=b.overhead_override,
-            )
-            for b in blocks
-        ]
+        return program_block_work(self.decode_step_program(t, s), architecture)
 
     def decode_step_cycles(
         self,
@@ -299,26 +336,15 @@ class LatencyModel:
         :meth:`autoregressive_report`).  Per-member host I/O (token in,
         log-probs out) is charged either way.
         """
-        lengths = [int(t) for t in prefix_lengths]
+        lengths = [_positive_int("prefix_lengths", t) for t in prefix_lengths]
         if not lengths:
             raise ValueError("prefix_lengths must be non-empty")
-        if any(t <= 0 for t in lengths):
-            raise ValueError("prefix lengths must be positive")
         arch = Architecture(architecture)
-        chain: list[BlockWork] = []
-        for i, t in enumerate(lengths):
-            for b in self.build_decode_step_blocks(t, s, arch, tag=f"r{i}:"):
-                load = b.load_cycles if (i == 0 or not share_weights) else 0
-                chain.append(
-                    BlockWork(
-                        b.label,
-                        load,
-                        b.compute_cycles,
-                        channel_hint=b.channel_hint,
-                        overhead_override=b.overhead_override,
-                    )
-                )
-        result = schedule(arch, chain, self.calibration.block_overhead_cycles)
+        members = [
+            (f"r{i}:", self.build_decode_step_blocks(t, s, arch))
+            for i, t in enumerate(lengths)
+        ]
+        result = self._schedule_chain(members, arch, share_loads=share_weights)
         t_in, t_out = self.io_transfer_cycles(1)
         return result.total_cycles + (t_in + t_out) * len(lengths)
 
@@ -349,7 +375,7 @@ class LatencyModel:
         # main consumer.
         from repro.obs.costs import largest_remainder_split
 
-        lengths = [int(t) for t in prefix_lengths]
+        lengths = list(prefix_lengths)
         total = self.decode_iteration_cycles(
             lengths, s, architecture, share_weights=share_weights
         )
@@ -372,17 +398,13 @@ class LatencyModel:
         autoregressive account (per-step first/last, mean per token,
         total, steady-state tokens/s) so the report round-trips it.
         """
-        if num_tokens <= 0:
-            raise ValueError("num_tokens must be positive")
-        if s <= 0:
-            raise ValueError("s must be positive")
+        num_tokens = _positive_int("num_tokens", num_tokens)
         arch = Architecture(architecture)
-        chain: list[BlockWork] = []
-        for step in range(1, num_tokens + 1):
-            chain.extend(
-                self.build_decode_step_blocks(step, s, arch, tag=f"t{step}:")
-            )
-        result = schedule(arch, chain, self.calibration.block_overhead_cycles)
+        members = [
+            (f"t{step}:", self.build_decode_step_blocks(step, s, arch))
+            for step in range(1, num_tokens + 1)
+        ]
+        result = self._schedule_chain(members, arch)
         t_in, t_out = self.io_transfer_cycles(1)
         first = self.decode_step_cycles(1, s, arch)
         last = self.decode_step_cycles(num_tokens, s, arch)
@@ -426,23 +448,14 @@ class LatencyModel:
         across sequence boundaries exactly as within one, so the
         steady-state spacing is below the single-shot latency.
         """
+        num_sequences = _positive_int("num_sequences", num_sequences)
         if num_sequences < 2:
             raise ValueError("need at least two sequences for steady state")
         arch = Architecture(architecture)
         one = self.build_blocks(s, arch)
-        chain: list[BlockWork] = []
-        for i in range(num_sequences):
-            for b in one:
-                chain.append(
-                    BlockWork(
-                        f"q{i}:{b.label}",
-                        b.load_cycles,
-                        b.compute_cycles,
-                        channel_hint=b.channel_hint,
-                        overhead_override=b.overhead_override,
-                    )
-                )
-        result = schedule(arch, chain, self.calibration.block_overhead_cycles)
+        result = self._schedule_chain(
+            [(f"q{i}:", one) for i in range(num_sequences)], arch
+        )
         single = schedule(arch, one, self.calibration.block_overhead_cycles)
         # Steady-state spacing: amortize the pipeline fill over the tail.
         spacing_cycles = (result.total_cycles - single.total_cycles) / (

@@ -2,15 +2,13 @@
 
 The accelerator executes a single dataflow — MM1..MM6 on the PSAs,
 bias/softmax/Add-Norm on the vector units, weight bundles streamed from
-HBM — but the repo historically encoded that schedule several times
-(analytic estimators, functional blocks, the hand-built block trace,
-and the ``BlockWork`` plumbing of the controller).  This module lowers
-the model + hardware configuration **once** into a typed op-level
-program and derives every execution mode from it:
+HBM.  This module lowers the model + hardware configuration **once**
+into a typed op-level program and derives every execution mode from
+it:
 
 * :func:`execute_program` — the functional executor: runs the numpy
   dataflow through the :mod:`repro.hw.kernels` / :mod:`repro.hw.
-  nonlinear` implementations, bit-identical to the legacy block bodies.
+  nonlinear` implementations.
 * :func:`program_block_work` / :func:`schedule_program` — the cycle
   executor: per-block makespans fall out of an integer ASAP pass over
   the dependency edges, then the A1/A2/A3 schedulers place the
@@ -27,8 +25,9 @@ paths :mod:`repro.hw.faults` targets, so fault injection becomes a
 program transform via ``weight_hook``).
 
 Lowerings exist for the full encoder/decoder pass, the per-stack
-sub-programs, the single-token KV-cache decode step, and the individual
-blocks that :mod:`repro.hw.blocks` exposes as its public API.
+sub-programs, the single-token KV-cache decode step, and the stand-alone
+MHA, FFN and encoder-layer sublayers (cheap single-layer programs for
+per-layer cycle sweeps such as the Fig 5.2 crossover).
 """
 
 from __future__ import annotations
@@ -363,8 +362,8 @@ def _lower_attention_head(
 ) -> int:
     """Ops of one attention head per Fig 4.13; returns the MM3 op id.
 
-    The dependency edges reproduce the analytic overlap rules under
-    ASAP scheduling: B(K) runs on the adder while MM1(Q) holds the PSA,
+    The dependency edges encode the Fig 4.13 overlaps under ASAP
+    scheduling: B(K) runs on the adder while MM1(Q) holds the PSA,
     Sc+Sm runs on the softmax unit while MM1(V) holds the PSA.
     """
     fabric = b.fabric
@@ -1055,32 +1054,6 @@ def lower_decode_step(
 
 
 @lru_cache(maxsize=256)
-def lower_attention_head_program(
-    fabric: Fabric,
-    s_q: int,
-    s_k: int,
-    d_model: int,
-    d_k: int,
-    head: int = 0,
-    concurrent_psas: int = 1,
-    engines: tuple[str, str, str] | None = None,
-    label_prefix: str = "",
-) -> BlockProgram:
-    """One attention head as a stand-alone program (root:
-    :class:`repro.model.params.AttentionParams`)."""
-    b = _Builder(fabric)
-    mark = b.mark()
-    out = _lower_attention_head(
-        b, "attn_head", _ext("x_q"), _ext("x_kv"), (), head, s_q, s_k,
-        d_model, d_k, concurrent_psas,
-        engines or _slot_engines(fabric, 0, concurrent_psas), "mask", (),
-        label_prefix,
-    )
-    b.close_block("attn_head", mark)
-    return b.finish({"output": out}, kind="attention_head", s_q=s_q, s_k=s_k)
-
-
-@lru_cache(maxsize=256)
 def lower_mha_program(
     fabric: Fabric,
     s_q: int,
@@ -1098,30 +1071,6 @@ def lower_mha_program(
     )
     b.close_block("mha", mark)
     return b.finish({"output": out}, kind="mha", s_q=s_q, s_k=s_k)
-
-
-@lru_cache(maxsize=256)
-def lower_mha_step_program(
-    fabric: Fabric,
-    t_keys: int,
-    num_heads: int,
-    d_model: int,
-    parallel_heads: int | None = None,
-    project_kv: bool = True,
-) -> BlockProgram:
-    """An MHA decode step as a stand-alone program (root:
-    AttentionParams; cache layer 0 of the bound cache list)."""
-    if t_keys <= 0:
-        raise ValueError("t_keys must be positive")
-    b = _Builder(fabric)
-    mark = b.mark()
-    out = _lower_mha(
-        b, "mha_step", _ext("x"), _ext("x"), (), 1, t_keys, num_heads,
-        d_model, parallel_heads, "memory_mask" if not project_kv else None,
-        (), step_layer=0, project_kv=project_kv, t_keys=t_keys,
-    )
-    b.close_block("mha_step", mark)
-    return b.finish({"output": out}, kind="mha_step", t_keys=t_keys)
 
 
 @lru_cache(maxsize=256)
@@ -1153,8 +1102,9 @@ def lower_encoder_layer_program(
     d_ff: int = 2048,
     parallel_heads: int | None = None,
 ) -> BlockProgram:
-    """One encoder layer (root: EncoderLayerParams) — the program the
-    legacy :func:`repro.hw.block_trace.trace_encoder_block` renders."""
+    """One encoder layer (root: EncoderLayerParams): the per-layer
+    compute cycles of ``LatencyModel.encoder_compute_cycles`` and the
+    Fig 4.13 per-engine Gantt view (via :func:`trace_block`)."""
     b = _Builder(fabric)
     mark = b.mark()
     out = _lower_encoder_layer(
@@ -1163,84 +1113,6 @@ def lower_encoder_layer_program(
     )
     b.close_block("enc1", mark)
     return b.finish({"output": out}, kind="encoder_layer", s=s)
-
-
-@lru_cache(maxsize=256)
-def lower_decoder_layer_program(
-    fabric: Fabric,
-    t: int,
-    s: int,
-    num_heads: int = 8,
-    d_model: int = 512,
-    d_ff: int = 2048,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """One decoder layer (root: DecoderLayerParams), m/f split."""
-    b = _Builder(fabric)
-    out = _lower_decoder_stack_like_layer(
-        b, t, s, num_heads, d_model, d_ff, parallel_heads
-    )
-    return b.finish({"output": out}, kind="decoder_layer", t=t, s=s)
-
-
-def _lower_decoder_stack_like_layer(
-    b: _Builder,
-    t: int,
-    s: int,
-    num_heads: int,
-    d_model: int,
-    d_ff: int,
-    parallel_heads: int | None,
-) -> int:
-    mark = b.mark()
-    m_end: list[int] = []
-    out = _lower_decoder_layer(
-        b, "dec1m", "dec1f", _ext("x"), _ext("memory"), (), t, s,
-        num_heads, d_model, d_ff, parallel_heads, "self_mask",
-        "memory_mask", (), mark_m=lambda: m_end.append(b.mark()),
-    )
-    b.blocks.append(
-        BlockIR("dec1m", tuple(range(mark, m_end[0])), channel_hint=0,
-                merge_group="dec1")
-    )
-    b.blocks.append(
-        BlockIR("dec1f", tuple(range(m_end[0], b.mark())), channel_hint=1,
-                overhead_override=0, merge_group="dec1")
-    )
-    return out
-
-
-@lru_cache(maxsize=256)
-def lower_decoder_step_layer_program(
-    fabric: Fabric,
-    t: int,
-    s: int,
-    num_heads: int = 8,
-    d_model: int = 512,
-    d_ff: int = 2048,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """One decoder layer's KV-cached step (root: DecoderLayerParams,
-    cache layer 0 of the bound cache list), m/f split."""
-    if t <= 0 or s <= 0:
-        raise ValueError("t and s must be positive")
-    b = _Builder(fabric)
-    mark = b.mark()
-    m_end: list[int] = []
-    out = _lower_decoder_step_layer(
-        b, "dec1m", "dec1f", _ext("x"), (), 0, t, s, num_heads, d_model,
-        d_ff, parallel_heads, "memory_mask", (),
-        mark_m=lambda: m_end.append(b.mark()),
-    )
-    b.blocks.append(
-        BlockIR("dec1m", tuple(range(mark, m_end[0])), channel_hint=0,
-                merge_group="dec1")
-    )
-    b.blocks.append(
-        BlockIR("dec1f", tuple(range(m_end[0], b.mark())), channel_hint=1,
-                overhead_override=0, merge_group="dec1")
-    )
-    return b.finish({"output": out}, kind="decoder_step_layer", t=t, s=s)
 
 
 # ------------------------------------------------------- cycle executor
@@ -1277,13 +1149,9 @@ _CACHED_LOWERINGS = [
     lower_encoder_stack,
     lower_decoder_stack,
     lower_decode_step,
-    lower_attention_head_program,
     lower_mha_program,
-    lower_mha_step_program,
     lower_ffn_program,
     lower_encoder_layer_program,
-    lower_decoder_layer_program,
-    lower_decoder_step_layer_program,
 ]
 
 
@@ -1414,8 +1282,7 @@ def program_block_work(
     program: BlockProgram, architecture: Architecture | str
 ) -> list[BlockWork]:
     """The cycle executor's view: per-unit load/compute work items,
-    identical to what the legacy ``LatencyModel.build_blocks`` chained
-    by hand."""
+    ready for the A1/A2/A3 schedulers."""
     return [work for work, _ in _work_units(program, architecture)]
 
 
@@ -1764,13 +1631,9 @@ __all__ = [
     "lower_encoder_stack",
     "lower_decoder_stack",
     "lower_decode_step",
-    "lower_attention_head_program",
     "lower_mha_program",
-    "lower_mha_step_program",
     "lower_ffn_program",
     "lower_encoder_layer_program",
-    "lower_decoder_layer_program",
-    "lower_decoder_step_layer_program",
     "block_compute_cycles",
     "program_block_work",
     "program_op_counts",

@@ -18,6 +18,7 @@ and :func:`attribute_saturation` explains the knee twice over:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.serving.arrival import make_arrival_model
@@ -120,6 +121,9 @@ def sweep_offered_load(
     the curve isolates load, not workload."""
     if not loads_rps:
         raise ValueError("need at least one offered load")
+    for rate in loads_rps:
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"loads_rps must be finite and positive; got {rate}")
     if sorted(loads_rps) != list(loads_rps):
         raise ValueError("offered loads must be sorted ascending")
     config = config or ServingConfig()

@@ -107,8 +107,8 @@ class ServingConfig:
             raise ValueError("max_batch must be >= 1")
         if self.kv_budget_bytes is not None and self.kv_budget_bytes <= 0:
             raise ValueError("kv_budget_bytes must be positive")
-        if self.slo_ms <= 0:
-            raise ValueError("slo_ms must be positive")
+        if not (math.isfinite(self.slo_ms) and self.slo_ms > 0):
+            raise ValueError(f"slo_ms must be finite and positive; got {self.slo_ms}")
         Architecture(self.architecture)
 
 

@@ -5,6 +5,7 @@ exercised by the benchmarks instead; here we run the quick analysis
 examples end to end and sanity-check their stdout.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,19 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
+)
+def test_example_imports(path):
+    """Every example imports cleanly (its ``main`` sits behind a
+    ``__main__`` guard), so a deleted or renamed import fails here even
+    for the examples too slow to run in the smoke tests."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(getattr(module, "main", None))
 
 
 def run_example(name: str, timeout: int = 240) -> str:

@@ -1,20 +1,19 @@
-"""Tests for block-level execution: MHA / FFN / encoder / decoder on
-the fabric must agree numerically with the golden model."""
+"""Tests for block-level execution: MHA / FFN / encoder / decoder
+programs on the fabric must agree numerically with the golden model."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.hw.blocks import (
-    add_norm_block,
-    attention_head_block,
-    decoder_block,
-    decoder_cycles,
-    encoder_block,
-    encoder_cycles,
-    ffn_block,
-    ffn_cycles,
-    mha_block,
-    mha_cycles,
+from repro.hw.controller import AcceleratorController, LatencyModel
+from repro.hw.nonlinear import add_norm_unit
+from repro.hw.program import (
+    block_compute_cycles,
+    execute_program,
+    lower_encoder_layer_program,
+    lower_ffn_program,
+    lower_mha_program,
 )
 from repro.model.attention import attention_head, multi_head_attention
 from repro.model.decoder import decoder_layer
@@ -42,54 +41,89 @@ def memory():
     return np.random.default_rng(2).standard_normal((S, 512)).astype(np.float32)
 
 
+def run_mha(fabric, x_q, x_kv, params, mask=None, parallel_heads=None):
+    program = lower_mha_program(
+        fabric,
+        x_q.shape[-2],
+        x_kv.shape[-2],
+        params.num_heads,
+        params.d_model,
+        parallel_heads,
+    )
+    inputs = {"x_q": x_q, "x_kv": x_kv, "mask": mask}
+    return program, execute_program(program, root=params, inputs=inputs)
+
+
+def mha_cycles(fabric, s, parallel_heads=None):
+    program = lower_mha_program(fabric, s, s, 8, 512, parallel_heads)
+    return block_compute_cycles(program, "mha")
+
+
+def ffn_cycles(fabric, s):
+    return block_compute_cycles(lower_ffn_program(fabric, s, 512, 2048), "ffn")
+
+
+def head_output(program, run, head):
+    """The (s, d_k) MM3 output of one head inside an MHA program run."""
+    (op,) = [op for op in program.ops if op.label == f"h{head}:MM3"]
+    return run.values[op.op_id]
+
+
 class TestAttentionHead:
     def test_matches_reference(self, fabric, x):
-        hw = attention_head_block(fabric, x, x, ENC.mha, head=3)
+        program, run = run_mha(fabric, x, x, ENC.mha)
         ref = attention_head(x, x, ENC.mha, head=3)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(
+            head_output(program, run, 3), ref, rtol=RTOL, atol=ATOL
+        )
 
     def test_masked_head_matches_reference(self, fabric, x):
         mask = causal_mask(S)
-        hw = attention_head_block(fabric, x, x, DEC.self_mha, 0, mask=mask)
+        program, run = run_mha(fabric, x, x, DEC.self_mha, mask=mask)
         ref = attention_head(x, x, DEC.self_mha, 0, mask=mask)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=ATOL)
-
-    def test_head_validation(self, fabric, x):
-        with pytest.raises(ValueError):
-            attention_head_block(fabric, x, x, ENC.mha, head=8)
+        np.testing.assert_allclose(
+            head_output(program, run, 0), ref, rtol=RTOL, atol=ATOL
+        )
 
 
 class TestMhaBlock:
     def test_matches_reference(self, fabric, x):
-        hw = mha_block(fabric, x, x, ENC.mha)
+        _, run = run_mha(fabric, x, x, ENC.mha)
         ref = multi_head_attention(x, x, ENC.mha)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(run.outputs["output"], ref, rtol=RTOL, atol=ATOL)
 
     def test_cross_attention_matches(self, fabric, x, memory):
-        hw = mha_block(fabric, x, memory, DEC.cross_mha)
+        _, run = run_mha(fabric, x, memory, DEC.cross_mha)
         ref = multi_head_attention(x, memory, DEC.cross_mha)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(run.outputs["output"], ref, rtol=RTOL, atol=ATOL)
 
     def test_parallel_heads_same_output_different_cycles(self, fabric, x):
-        full = mha_block(fabric, x, x, ENC.mha, parallel_heads=8)
-        waves = mha_block(fabric, x, x, ENC.mha, parallel_heads=2)
-        np.testing.assert_array_equal(full.output, waves.output)
-        assert waves.cycles != full.cycles
+        _, full = run_mha(fabric, x, x, ENC.mha, parallel_heads=8)
+        _, waves = run_mha(fabric, x, x, ENC.mha, parallel_heads=2)
+        np.testing.assert_array_equal(
+            full.outputs["output"], waves.outputs["output"]
+        )
+        assert waves.block_compute_cycles != full.block_compute_cycles
 
     def test_parallel_heads_validation(self, fabric, x):
         with pytest.raises(ValueError):
-            mha_block(fabric, x, x, ENC.mha, parallel_heads=16)
+            run_mha(fabric, x, x, ENC.mha, parallel_heads=16)
 
 
 class TestFfnBlock:
     def test_matches_reference(self, fabric, x):
-        hw = ffn_block(fabric, x, ENC.ffn)
+        program = lower_ffn_program(fabric, S, 512, 2048)
+        run = execute_program(program, root=ENC.ffn, inputs={"x": x})
         ref = feed_forward(x, ENC.ffn)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=2e-3)
+        np.testing.assert_allclose(run.outputs["output"], ref, rtol=RTOL, atol=2e-3)
 
     def test_cycles_match_estimator(self, fabric, x):
-        hw = ffn_block(fabric, x, ENC.ffn)
-        assert hw.cycles == ffn_cycles(fabric, S, 512, 2048)
+        """The FFN has no overlap: MM5 + B_1F + ReLU + MM6 + B_2F in
+        series, so its makespan is the plain sum of its op cycles."""
+        program = lower_ffn_program(fabric, S, 512, 2048)
+        run = execute_program(program, root=ENC.ffn, inputs={"x": x})
+        serial = sum(op.cycles for op in program.ops)
+        assert run.block_compute_cycles["ffn"] == serial
 
 
 class TestAddNormBlock:
@@ -97,56 +131,70 @@ class TestAddNormBlock:
         from repro.model.layernorm import add_norm
 
         residual = (x * 0.5).astype(np.float32)
-        hw = add_norm_block(fabric, x, residual, ENC.norm1.weight, ENC.norm1.bias)
+        hw = add_norm_unit(x, residual, ENC.norm1.weight, ENC.norm1.bias)
         ref = add_norm(x, residual, ENC.norm1.weight, ENC.norm1.bias)
-        np.testing.assert_allclose(hw.output, ref, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(hw, ref, rtol=RTOL, atol=ATOL)
 
 
 class TestEncoderBlock:
     def test_matches_reference(self, fabric, x):
-        hw = encoder_block(fabric, x, ENC)
+        program = lower_encoder_layer_program(fabric, S)
+        run = execute_program(program, root=ENC, inputs={"x": x, "mask": None})
         ref = encoder_layer(x, ENC)
-        np.testing.assert_allclose(hw.output, ref, rtol=1e-3, atol=2e-3)
+        np.testing.assert_allclose(run.outputs["output"], ref, rtol=1e-3, atol=2e-3)
 
     def test_cycles_match_estimator(self, fabric, x):
-        hw = encoder_block(fabric, x, ENC)
-        assert hw.cycles == encoder_cycles(fabric, S, 8, 512, 2048)
+        """The single-layer program and every layer of the full pass
+        lower to the same compute cycles."""
+        program = lower_encoder_layer_program(fabric, S)
+        run = execute_program(program, root=ENC, inputs={"x": x, "mask": None})
+        full = LatencyModel().full_pass_program(S)
+        for i in range(PARAMS.config.num_encoders):
+            assert run.block_compute_cycles["enc1"] == block_compute_cycles(
+                full, f"enc{i + 1}"
+            )
+
+
+def one_decoder_controller() -> AcceleratorController:
+    """A controller whose decoder stack is exactly ``DEC``."""
+    config = PARAMS.config.with_depth(PARAMS.config.num_encoders, 1)
+    params = dataclasses.replace(PARAMS, config=config, decoders=(DEC,))
+    return AcceleratorController(params)
 
 
 class TestDecoderBlock:
     def test_matches_reference(self, fabric, x, memory):
-        hw = decoder_block(fabric, x, memory, DEC, self_mask=causal_mask(S))
+        out, _ = one_decoder_controller().run_decoder_stack(
+            x, memory, self_mask=causal_mask(S)
+        )
         ref = decoder_layer(x, memory, DEC)
-        np.testing.assert_allclose(hw.output, ref, rtol=1e-3, atol=2e-3)
+        np.testing.assert_allclose(out, ref, rtol=1e-3, atol=2e-3)
 
     def test_cycle_split_matches_estimator(self, fabric, x, memory):
-        hw = decoder_block(fabric, x, memory, DEC, self_mask=causal_mask(S))
-        m, f = decoder_cycles(fabric, S, S, 8, 512, 2048)
-        assert hw.mha_cycles == m
-        assert hw.ffn_cycles == f
-        assert hw.cycles == m + f
+        _, cycles = one_decoder_controller().run_decoder_stack(
+            x, memory, self_mask=causal_mask(S)
+        )
+        m, f = LatencyModel().decoder_compute_cycles(S)
+        assert cycles["dec1m"] == m
+        assert cycles["dec1f"] == f
 
 
 class TestCycleEstimators:
     def test_ffn_roughly_double_mha(self, fabric):
         """Section 5.1.4: the FFN block consumes ~2x the MHA latency."""
         for s in (16, 32):
-            mha = mha_cycles(fabric, s, s, 8, 512)
-            ffn = ffn_cycles(fabric, s, 512, 2048)
-            assert 1.5 < ffn / mha < 3.0
+            assert 1.5 < ffn_cycles(fabric, s) / mha_cycles(fabric, s) < 3.0
 
     def test_encoder_cycles_monotone_in_s(self, fabric):
-        values = [encoder_cycles(fabric, s, 8, 512, 2048) for s in (4, 8, 16, 32)]
+        lm = LatencyModel()
+        values = [lm.encoder_compute_cycles(s) for s in (4, 8, 16, 32)]
         assert values == sorted(values)
 
     def test_dse_latency_ordering(self, fabric):
         """Table 5.3: fewer parallel heads -> more latency."""
-        lat = [
-            mha_cycles(fabric, 32, 32, 8, 512, parallel_heads=p)
-            for p in (8, 4, 2, 1)
-        ]
+        lat = [mha_cycles(fabric, 32, parallel_heads=p) for p in (8, 4, 2, 1)]
         assert lat == sorted(lat)
 
     def test_decoder_mha_part_exceeds_encoder_mha(self, fabric):
-        m, _ = decoder_cycles(fabric, 16, 16, 8, 512, 2048)
-        assert m > mha_cycles(fabric, 16, 16, 8, 512)
+        m, _ = LatencyModel().decoder_compute_cycles(16)
+        assert m > mha_cycles(fabric, 16)

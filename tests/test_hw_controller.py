@@ -91,6 +91,72 @@ class TestLatencyModel:
         lm0 = LatencyModel(calibration=cal)
         assert lm0.latency_ms(32, "A3") < LatencyModel().latency_ms(32, "A3")
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda lm: lm.latency_report(32.5), "s", id="s-float"),
+            pytest.param(lambda lm: lm.latency_report(float("nan")), "s", id="s-nan"),
+            pytest.param(lambda lm: lm.latency_report(True), "s", id="s-bool"),
+            pytest.param(
+                lambda lm: lm.encoder_compute_cycles(-3), "s", id="encoder-s-negative"
+            ),
+            pytest.param(
+                lambda lm: lm.decoder_compute_cycles(32, t=2.0),
+                "t",
+                id="decoder-t-float",
+            ),
+            pytest.param(
+                lambda lm: lm.decode_step_cycles(True, 32), "t", id="step-t-bool"
+            ),
+            pytest.param(
+                lambda lm: lm.decode_step_cycles(4, np.float64(32)),
+                "s",
+                id="step-s-npfloat",
+            ),
+            pytest.param(
+                lambda lm: lm.decode_iteration_cycles([2.7], 32),
+                "prefix_lengths",
+                id="prefix-float",
+            ),
+            pytest.param(
+                lambda lm: lm.decode_iteration_cycles([3, 0], 32),
+                "prefix_lengths",
+                id="prefix-zero",
+            ),
+            pytest.param(
+                lambda lm: lm.per_member_cycle_shares([np.bool_(1)], 32),
+                "prefix_lengths",
+                id="shares-prefix-npbool",
+            ),
+            pytest.param(
+                lambda lm: lm.autoregressive_report(2.0, 32),
+                "num_tokens",
+                id="num_tokens-float",
+            ),
+            pytest.param(
+                lambda lm: lm.autoregressive_report(3, 0), "s", id="decode-s-zero"
+            ),
+            pytest.param(
+                lambda lm: lm.steady_state_throughput(32, num_sequences=4.0),
+                "num_sequences",
+                id="num_sequences-float",
+            ),
+        ],
+    )
+    def test_rejects_non_integer_lengths(self, lm, call, name):
+        """Lengths and counts must be positive integers (bool is not
+        one); the error names the offending parameter."""
+        with pytest.raises(ValueError, match=rf"^{name} must be a positive integer"):
+            call(lm)
+
+    def test_accepts_numpy_integers(self, lm):
+        assert lm.latency_report(np.int64(8)).total_cycles == (
+            lm.latency_report(8).total_cycles
+        )
+        assert lm.decode_iteration_cycles(np.array([3, 5]), np.int32(32)) == (
+            lm.decode_iteration_cycles([3, 5], 32)
+        )
+
 
 class TestPerMemberCycleShares:
     """Per-member attribution of a batched decode iteration

@@ -1,7 +1,7 @@
 """The block-program IR: one lowering, three executors in lock-step.
 
 The drift-lock sweep in ``test_hw_block_trace.py`` pins the cycle
-numbers against the analytic estimators; this file pins the *structure*
+numbers to fixed integers; this file pins the *structure*
 of the program and the agreement between the executors — plus fault
 injection as a program transform.
 """

@@ -257,6 +257,9 @@ class TestSchedulerBasics:
             ServingConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServingConfig(slo_ms=0.0)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="slo_ms must be finite and positive"):
+                ServingConfig(slo_ms=bad)
         with pytest.raises(ValueError):
             ServingConfig(architecture="A9")
 
@@ -565,6 +568,14 @@ class TestSweepAnalysis:
             sweep_offered_load([])
         with pytest.raises(ValueError, match="sorted ascending"):
             sweep_offered_load([2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "loads",
+        [[float("inf")], [float("nan")], [1.0, float("inf")], [0.0], [-2.0, 1.0]],
+    )
+    def test_rejects_non_finite_or_non_positive_loads(self, loads):
+        with pytest.raises(ValueError, match="loads_rps must be finite and positive"):
+            sweep_offered_load(loads, num_requests=2)
 
 
 class TestSweepDelta:

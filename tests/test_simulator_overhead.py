@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.hw.blocks import encoder_block
 from repro.hw.kernels import Fabric
+from repro.hw.program import execute_program, lower_encoder_layer_program
 from repro.model.encoder import encoder_layer
 from repro.model.params import init_transformer_params
 
@@ -33,6 +33,8 @@ def test_simulation_overhead_is_bounded():
             best = min(best, time.perf_counter() - start)
         return best
 
-    fabric_t = time_it(lambda: encoder_block(fabric, x, layer))
+    program = lower_encoder_layer_program(fabric, 32)
+    inputs = {"x": x, "mask": None}
+    fabric_t = time_it(lambda: execute_program(program, root=layer, inputs=inputs))
     reference_t = time_it(lambda: encoder_layer(x, layer))
     assert fabric_t < 40 * reference_t
