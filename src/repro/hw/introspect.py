@@ -293,8 +293,15 @@ def classify_stalls(
         busy = sum(e - s for s, e in busy_ivs)
         lane_end = busy_ivs[-1][1] if busy_ivs else 0.0
         stalls = {cause: 0.0 for cause in _WAIT_CAUSES}
+        # Segments are in time order and the lane's gaps are sorted, so
+        # a segment that ends before one gap starts misses every later
+        # gap too: one forward-only cursor makes the walk linear.
+        first = 0
         for g0, g1 in timeline.idle_gaps(engine):
-            for s0, s1, cause, block in segments:
+            while first < len(segments) and segments[first][1] <= g0:
+                first += 1
+            for k in range(first, len(segments)):
+                s0, s1, cause, block = segments[k]
                 lo, hi = max(g0, s0), min(g1, s1)
                 if hi > lo:
                     stalls[cause] += hi - lo

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -199,6 +199,20 @@ class BlockProgram:
             if blk.label == label:
                 return blk
         raise KeyError(f"no block labelled '{label}'")
+
+    # Cost memos.  They live in the instance ``__dict__``, not in
+    # fields, so ``==``, ``asdict`` and ``dataclasses.replace`` ignore
+    # them (a rewritten program starts empty), and they are freed with
+    # the lowering-cache entry that holds the program.
+    @cached_property
+    def _asap_memo(self) -> dict[tuple[int, ...], tuple[dict, int]]:
+        """op-id set -> (ASAP times, makespan); see :func:`_asap`."""
+        return {}
+
+    @cached_property
+    def _units_memo(self) -> dict[Architecture, tuple]:
+        """architecture -> work units; see :func:`_work_units`."""
+        return {}
 
 
 @dataclass
@@ -1135,12 +1149,29 @@ def _asap_times(
     return times
 
 
+def _asap(
+    program: BlockProgram, op_ids: tuple[int, ...]
+) -> tuple[dict[int, tuple[int, int]], int]:
+    """(ASAP times, makespan) of one op set, derived once per program.
+
+    Both depend only on ``program.ops`` and ``op_ids``, so the result is
+    memoized on the program under the op-id tuple.  Callers must not
+    mutate the returned times.
+    """
+    memo = program._asap_memo
+    hit = memo.get(op_ids)
+    if hit is None:
+        times = _asap_times(program, op_ids)
+        span = max((end for _, end in times.values()), default=0)
+        hit = memo[op_ids] = (times, span)
+    return hit
+
+
 def block_compute_cycles(program: BlockProgram, block: BlockIR | str) -> int:
     """ASAP makespan of one block's compute ops (by label or BlockIR)."""
     if isinstance(block, str):
         block = program.block(block)
-    times = _asap_times(program, block.op_ids)
-    return max((end for _, end in times.values()), default=0)
+    return _asap(program, block.op_ids)[1]
 
 
 #: Every lru_cache'd lowering entry point, for cache-pressure telemetry.
@@ -1233,14 +1264,18 @@ def program_hbm_bytes(
 
 def _work_units(
     program: BlockProgram, architecture: Architecture | str
-) -> list[tuple[BlockWork, tuple[BlockIR, ...]]]:
-    """Blocks folded into schedulable BlockWork units.
+) -> tuple[tuple[BlockWork, tuple[BlockIR, ...]], ...]:
+    """Blocks folded into schedulable BlockWork units, derived once per
+    program and architecture (memoized on the program).
 
     Under A3 every block is its own unit (per-part loads on their
     hinted channels); under A1/A2 blocks sharing a ``merge_group`` fuse
     into one unit with the merged load and the union makespan.
     """
     arch = Architecture(architecture)
+    memo = program._units_memo
+    if arch in memo:
+        return memo[arch]
     units: list[tuple[BlockWork, tuple[BlockIR, ...]]] = []
     blocks = program.blocks
     i = 0
@@ -1254,9 +1289,8 @@ def _work_units(
             ):
                 group.append(blocks[i + len(group)])
         if len(group) > 1:
-            op_ids = [oid for g in group for oid in g.op_ids]
-            times = _asap_times(program, op_ids)
-            comp = max((end for _, end in times.values()), default=0)
+            op_ids = tuple(oid for g in group for oid in g.op_ids)
+            comp = _asap(program, op_ids)[1]
             load = (
                 blk.merged_load_cycles
                 if blk.merged_load_cycles is not None
@@ -1275,7 +1309,8 @@ def _work_units(
             )
         units.append((work, tuple(group)))
         i += len(group)
-    return units
+    memo[arch] = frozen = tuple(units)
+    return frozen
 
 
 def program_block_work(
@@ -1336,11 +1371,9 @@ def _emit_ops(
     timeline: Timeline,
 ) -> int:
     """Emit one work unit's op events at ``offset``; returns its span."""
-    times = _asap_times(program, op_ids)
-    span = 0
+    times, span = _asap(program, tuple(op_ids))
     for op_id, (start, end) in times.items():
         op = program.ops[op_id]
-        span = max(span, end)
         if op.cycles <= 0:
             continue
         kind = "stream" if op.kind is OpKind.STREAM else "compute"
@@ -1463,14 +1496,12 @@ def program_unit_spans(
     for work, group in units:
         comp = comps[work.label]
         load = loads.get(work.label)
-        op_ids = [oid for blk in group for oid in blk.op_ids]
-        times = _asap_times(program, op_ids)
         spans.append(
             UnitSpan(
                 label=work.label,
                 blocks=tuple(blk.label for blk in group),
                 compute_start=comp.start,
-                compute_span=max((end for _, end in times.values()), default=0),
+                compute_span=work.compute_cycles,
                 overhead=work.overhead(block_overhead),
                 compute_end=comp.end,
                 load_start=load.start if load is not None else comp.start,

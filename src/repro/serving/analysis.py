@@ -127,6 +127,9 @@ def sweep_offered_load(
     if sorted(loads_rps) != list(loads_rps):
         raise ValueError("offered loads must be sorted ascending")
     config = config or ServingConfig()
+    # One executor for every rate and the attribution: its prefill
+    # report and iteration-cost memo carry across the whole ladder.
+    executor = executor or ModeledExecutor(config)
     points: list[LoadPoint] = []
     for rate in loads_rps:
         arrival = make_arrival_model(arrival_kind, rate, seed=seed)

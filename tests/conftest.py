@@ -59,3 +59,22 @@ def fabric(hardware, calibration) -> Fabric:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture(
+    scope="session",
+    params=["full_s8", "full_s32", "encoder_stack_s8", "decode_step_t16_s32", "a4_s8"],
+)
+def ir_program(request, small_config, fabric):
+    """One lowered program of each kind the cost model sees: full
+    passes, an encoder stack, a decode step and an A4-optimized pass."""
+    from repro.hw.dse import synthesize_a4
+    from repro.hw.program import lower_decode_step, lower_encoder_stack, lower_full_pass
+
+    return {
+        "full_s8": lambda: lower_full_pass(small_config, fabric, 8),
+        "full_s32": lambda: lower_full_pass(small_config, fabric, 32),
+        "encoder_stack_s8": lambda: lower_encoder_stack(small_config, fabric, 8),
+        "decode_step_t16_s32": lambda: lower_decode_step(small_config, fabric, 16, 32),
+        "a4_s8": lambda: synthesize_a4(model=small_config, s=8).program,
+    }[request.param]()

@@ -343,3 +343,40 @@ class TestClassifierEdgeCases:
         )
         fresh = classify_stalls(program, "A2", overhead)
         assert report.totals() == fresh.totals()
+
+
+def _quadratic_reference(program, architecture):
+    """The classifier's original gap x segment walk: every idle gap
+    rescans the causal segments from the first one."""
+    from repro.hw.introspect import _causal_segments
+    from repro.hw.program import program_unit_spans, trace_program_with_schedule
+
+    overhead = program.fabric.calibration.block_overhead_cycles
+    timeline, sched = trace_program_with_schedule(program, architecture, overhead)
+    spans, _ = program_unit_spans(program, architecture, overhead, sched=sched)
+    segments = _causal_segments(spans)
+    stalls_by_engine, intervals = {}, []
+    for engine in timeline.engines():
+        stalls = {}
+        for g0, g1 in timeline.idle_gaps(engine):
+            for s0, s1, cause, block in segments:
+                lo, hi = max(g0, s0), min(g1, s1)
+                if hi > lo:
+                    stalls[cause] = stalls.get(cause, 0.0) + hi - lo
+                    intervals.append(StallInterval(engine, lo, hi, cause, block))
+                if s0 >= g1:
+                    break
+        stalls_by_engine[engine] = stalls
+    return stalls_by_engine, intervals
+
+
+class TestLinearSweepMatchesQuadraticReference:
+    @pytest.mark.parametrize("arch", ["A1", "A2", "A3"])
+    def test_same_intervals_and_sums(self, ir_program, arch):
+        report = classify_stalls(ir_program, arch)
+        stalls_by_engine, intervals = _quadratic_reference(ir_program, arch)
+        stall_ivs = [iv for iv in report.intervals if iv.cause != "no_work"]
+        assert stall_ivs == sorted(intervals, key=lambda iv: (iv.engine, iv.start))
+        for engine, breakdown in report.engines.items():
+            nonzero = {c: v for c, v in breakdown.stalls.items() if v}
+            assert nonzero == stalls_by_engine[engine], engine

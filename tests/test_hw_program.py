@@ -6,6 +6,8 @@ of the program and the agreement between the executors — plus fault
 injection as a program transform.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.config import ModelConfig
 from repro.hw.faults import FaultSpec, inject_faults, program_fault_hook
 from repro.hw.program import (
     OpKind,
+    _asap_times,
     block_compute_cycles,
     execute_program,
     lower_decode_step,
@@ -24,6 +27,7 @@ from repro.hw.program import (
     trace_block,
     trace_program,
 )
+from repro.hw.scheduler import Architecture
 
 MODEL = ModelConfig(num_encoders=2, num_decoders=2)
 
@@ -107,6 +111,109 @@ class TestCycleExecutor:
             block_compute_cycles(program, "dec1m")
             + block_compute_cycles(program, "dec1f")
         )
+
+
+def _uncached_span(program, op_ids):
+    times = _asap_times(program, op_ids)
+    return max((end for _, end in times.values()), default=0)
+
+
+def _uncached_work(program, architecture):
+    """(label, load, compute, channel_hint, overhead_override) per unit,
+    recomputed from the blocks with no memo involved."""
+    arch = Architecture(architecture)
+    groups: list[list] = []
+    for blk in program.blocks:
+        prev = groups[-1][0] if groups else None
+        if (
+            arch is not Architecture.A3
+            and blk.merge_group is not None
+            and prev is not None
+            and prev.merge_group == blk.merge_group
+        ):
+            groups[-1].append(blk)
+        else:
+            groups.append([blk])
+    units = []
+    for group in groups:
+        head = group[0]
+        span = _uncached_span(program, [oid for b in group for oid in b.op_ids])
+        if len(group) > 1:
+            load = head.merged_load_cycles
+            if load is None:
+                load = sum(b.load_cycles for b in group)
+            units.append((head.merge_group, load, span, None, None))
+        else:
+            a3 = arch is Architecture.A3
+            units.append((
+                head.label,
+                head.load_cycles,
+                span,
+                head.channel_hint if a3 else None,
+                head.overhead_override if a3 else None,
+            ))
+    return units
+
+
+class TestCostMemo:
+    """Block spans and work units are derived once per program instance
+    and must equal a from-scratch recompute."""
+
+    def test_block_spans_match_uncached_asap(self, ir_program):
+        for blk in ir_program.blocks:
+            expected = _uncached_span(ir_program, blk.op_ids)
+            assert block_compute_cycles(ir_program, blk) == expected
+            assert block_compute_cycles(ir_program, blk.label) == expected
+
+    @pytest.mark.parametrize("architecture", ["A1", "A2", "A3"])
+    def test_block_work_matches_uncached_derivation(self, ir_program, architecture):
+        for _ in range(2):  # cold, then from the memo
+            work = program_block_work(ir_program, architecture)
+            assert [
+                (w.label, w.load_cycles, w.compute_cycles, w.channel_hint,
+                 w.overhead_override)
+                for w in work
+            ] == _uncached_work(ir_program, architecture)
+
+    def test_returned_list_is_fresh(self, program):
+        first = program_block_work(program, "A1")
+        expected = list(first)
+        first.clear()
+        second = program_block_work(program, "A1")
+        assert second == expected
+        assert second is not first
+
+    def test_second_query_runs_no_asap(self, program, monkeypatch):
+        fresh = dataclasses.replace(program)
+        calls = []
+        real = _asap_times
+
+        def counting(prog, op_ids):
+            calls.append(tuple(op_ids))
+            return real(prog, op_ids)
+
+        monkeypatch.setattr("repro.hw.program._asap_times", counting)
+        for architecture in ("A1", "A2", "A3"):
+            program_block_work(fresh, architecture)
+        assert calls and len(calls) == len(set(calls))
+        cold = len(calls)
+        for architecture in ("A1", "A2", "A3"):
+            program_block_work(fresh, architecture)
+        for blk in fresh.blocks:
+            block_compute_cycles(fresh, blk)
+        trace_program(fresh, "A1")
+        assert len(calls) == cold
+
+    def test_replace_does_not_inherit_the_memo(self, program):
+        full = program_block_work(program, "A3")
+        head = dataclasses.replace(program, blocks=program.blocks[:1])
+        assert program_block_work(head, "A3") == full[:1]
+        assert len(program_block_work(program, "A3")) == len(full)
+        # The memo is not a field: equality and field lists ignore it.
+        assert dataclasses.replace(program) == program
+        assert {f.name for f in dataclasses.fields(program)} == {
+            "fabric", "ops", "blocks", "outputs", "meta"
+        }
 
 
 class TestTraceExecutor:

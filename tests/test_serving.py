@@ -578,6 +578,55 @@ class TestSweepAnalysis:
             sweep_offered_load(loads, num_requests=2)
 
 
+class TestSweepCostReuse:
+    """A sweep prices each (program, work unit) once and builds one
+    executor for every rate plus the attribution."""
+
+    LADDER = [0.5, 2.0, 8.0]
+
+    def test_one_asap_sweep_per_program_unit(self, monkeypatch):
+        import repro.hw.program as program_mod
+
+        real = program_mod._asap_times
+        counts: dict[tuple[int, tuple[int, ...]], int] = {}
+        pinned = {}  # keeps every counted program alive, so ids stay unique
+
+        def counting(program, op_ids):
+            pinned[id(program)] = program
+            key = (id(program), tuple(op_ids))
+            counts[key] = counts.get(key, 0) + 1
+            return real(program, op_ids)
+
+        monkeypatch.setattr(program_mod, "_asap_times", counting)
+        sweep_offered_load(
+            self.LADDER, num_requests=8, config=_cfg(s=20, slo_ms=1500.0), seed=5
+        )
+        assert max(counts.values(), default=1) == 1
+
+    def test_one_executor_per_sweep(self, monkeypatch):
+        built = []
+        real_init = ModeledExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModeledExecutor, "__init__", counting_init)
+        sweep_offered_load(self.LADDER, num_requests=6, config=_cfg(), seed=2)
+        assert len(built) == 1
+
+    def test_shared_executor_matches_fresh_executor_per_rate(self):
+        config = _cfg(slo_ms=1500.0)
+        sweep = sweep_offered_load(self.LADDER, num_requests=6, config=config, seed=4)
+        fresh = []
+        for rate in self.LADDER:
+            arrival = make_arrival_model("poisson", rate, seed=4)
+            requests = synthesize_requests(arrival, 6, seed=4)
+            result = ContinuousBatchingScheduler(config).run(requests)
+            fresh.append(LoadPoint.from_result(rate, result))
+        assert sweep.points == fresh
+
+
 class TestSweepDelta:
     """Serving-side differential profile: two sweeps over the same
     offered-load ladder, diffed point-for-point."""
