@@ -17,6 +17,8 @@ bench:
 verify:
 	python -m repro.cli verify
 
+# fit_calibration.py is left out: it refits the calibration constants
+# and takes about 5 minutes on one core.  Run it by hand.
 examples:
 	python examples/quickstart.py
 	python examples/latency_exploration.py
@@ -27,5 +29,9 @@ examples:
 	python examples/retargetability.py
 	python examples/hls_pragma_study.py
 	python examples/streaming_asr.py
+	python examples/fault_injection.py
+	python examples/fleet_scaling.py
+	python examples/noise_robustness.py
+	python examples/train_toy_asr.py
 
 all: test bench

@@ -1,14 +1,15 @@
-"""KV-cached autoregressive decode vs the legacy full-prefix loop.
+"""KV-cached autoregressive decode on the simulated fabric.
 
 The synthesized hardware always runs its padded ``hw_seq_len`` pass, so
-the naive decode loop pays a full decoder-stack pass per emitted token.
-The KV-cached path steps a 1-row query through the fabric instead;
-this benchmark pins its two contracts:
+a naive decode loop would pay a full decoder-stack pass per emitted
+token.  The KV-cached session steps a 1-row query through the fabric
+instead; this benchmark pins its two contracts:
 
-* functional — greedy transcripts are byte-identical to the legacy
-  full-prefix path;
+* functional — greedy transcripts are byte-identical to the golden
+  model's full-prefix recompute (``Transformer.log_probs``);
 * cost — per-token fabric compute grows with the cached prefix but
-  stays strictly below the full padded pass, and the whole cached
+  stays strictly below the full padded pass
+  (``LatencyModel.decoder_compute_cycles``), and the whole cached
   decode is cheaper than ``steps x full pass``.
 """
 
@@ -20,6 +21,7 @@ from repro.config import ModelConfig
 from repro.decoding.greedy import greedy_decode
 from repro.hw.accelerator import TransformerAccelerator
 from repro.model.params import init_transformer_params
+from repro.model.transformer import Transformer
 
 HW_SEQ_LEN = 32
 DECODE_TOKENS = 8
@@ -79,15 +81,16 @@ def test_cached_step_compute(benchmark, accel, features):
 
 
 def test_greedy_transcripts_byte_identical(accel, features):
-    legacy = greedy_decode(
-        accel.step_fn(features, use_kv_cache=False),
+    golden = Transformer(accel.params)
+    oracle = greedy_decode(
+        lambda prefix: golden.log_probs(features, prefix)[-1],
         sos_id=1, eos_id=2, max_len=HW_SEQ_LEN - 1,
     )
     cached = greedy_decode(
-        accel.step_fn(features, use_kv_cache=True),
+        accel.decode_session(features).step_fn(),
         sos_id=1, eos_id=2, max_len=HW_SEQ_LEN - 1,
     )
-    assert legacy.tobytes() == cached.tobytes()
+    assert oracle.tobytes() == cached.tobytes()
 
 
 def test_modeled_autoregressive_account(benchmark, accel):

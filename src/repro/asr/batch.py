@@ -65,23 +65,19 @@ class BatchTranscriber:
         self,
         waveforms: list[np.ndarray],
         beam_size: int | None = None,
-        batched_prefill: bool = True,
     ) -> BatchResult:
-        """Transcribe ``waveforms``; with ``batched_prefill`` (default)
-        and the KV-cached hardware engine, all encoder prefills run as
-        ONE batched (B, S, d_model) pass through the fabric — the MM
-        stages execute as single large GEMMs — before the per-utterance
-        decodes.  Functionally identical to the sequential path (the
-        batched kernels are bit-exact); only wall clock changes.
+        """Transcribe ``waveforms``.  With more than one waveform, all
+        encoder prefills run as ONE batched (B, S, d_model) pass through
+        the fabric — the MM stages execute as single large GEMMs —
+        before the per-utterance decodes.  Functionally identical to
+        transcribing one by one (the batched kernels are bit-exact);
+        only wall clock changes.
         """
         if not waveforms:
             raise ValueError("batch must contain at least one waveform")
-        use_batched = (
-            batched_prefill
-            and len(waveforms) > 1
-            and self.pipeline.decode_engine == "hw"
-        )
-        if use_batched:
+        if len(waveforms) == 1:
+            results = (self.pipeline.transcribe(waveforms[0], beam_size=beam_size),)
+        else:
             feats = [
                 self.pipeline.preprocessor(np.asarray(w, dtype=np.float64))
                 for w in waveforms
@@ -92,11 +88,6 @@ class BatchTranscriber:
                     w, beam_size=beam_size, features=f, session=sess
                 )
                 for w, f, sess in zip(waveforms, feats, sessions)
-            )
-        else:
-            results = tuple(
-                self.pipeline.transcribe(w, beam_size=beam_size)
-                for w in waveforms
             )
         accel = self.pipeline.accelerator
         lm = accel.latency_model
@@ -120,5 +111,4 @@ class BatchTranscriber:
             results=results,
             single_shot_ms=sum(r.accelerator_ms for r in results),
             pipelined_ms=pipelined_ms,
-            details={"batched_prefill": float(use_batched)},
         )

@@ -102,25 +102,3 @@ class MeasuredCpuBaseline:
             raise ValueError("repeats must be >= 1")
         times = sorted(self.run_once(s) for _ in range(repeats))
         return times[len(times) // 2]
-
-    def batched_latency_s(
-        self, s: int, batch: int = 8, rng: np.random.Generator | None = None
-    ) -> float:
-        """Per-sequence latency of a vectorized batch-``batch`` run.
-
-        Real CPU serving batches; the vectorized path
-        (:class:`repro.model.batched.BatchedTransformer`) amortizes the
-        per-layer overheads and lets BLAS see large contractions.
-        """
-        if s <= 0 or batch <= 0:
-            raise ValueError("s and batch must be positive")
-        from repro.model.batched import BatchedTransformer
-
-        rng = rng or np.random.default_rng(0)
-        cfg = self.model.config
-        feats = rng.standard_normal((batch, s, cfg.d_model)).astype(np.float32)
-        tokens = rng.integers(0, cfg.vocab_size, size=(batch, s))
-        engine = BatchedTransformer(self.model.params)
-        start = time.perf_counter()
-        engine.forward(feats, tokens)
-        return (time.perf_counter() - start) / batch

@@ -22,12 +22,20 @@ from repro.hw.controller import (
     ControllerRun,
     LatencyModel,
     LatencyReport,
+    _positive_int,
 )
 from repro.hw.scheduler import Architecture
 from repro.model.masks import causal_mask, combine_masks
 from repro.model.ops import MODEL_DTYPE, linear, log_softmax
 from repro.model.params import TransformerParams
 from repro.obs import spans as obs_spans
+
+
+def _check_token_dtype(tokens: np.ndarray) -> None:
+    """Token ids must arrive as integers: a float id would otherwise be
+    truncated silently by the embedding lookup."""
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"tokens must have an integer dtype; got {tokens.dtype}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +73,8 @@ class TransformerAccelerator:
         calibration: CalibrationConfig | None = None,
         parallel_heads: int | None = None,
     ) -> None:
-        if hw_seq_len <= 0:
-            raise ValueError("hw_seq_len must be positive")
         self.params = params
-        self.hw_seq_len = hw_seq_len
+        self.hw_seq_len = _positive_int("hw_seq_len", hw_seq_len)
         self.architecture = Architecture(architecture)
         self.controller = AcceleratorController(
             params,
@@ -86,6 +92,16 @@ class TransformerAccelerator:
         return self.controller.latency_model
 
     # -------------------------------------------------------- plumbing
+    def _check_features(self, features: np.ndarray) -> np.ndarray:
+        """Validate an encoder input where it enters the accelerator:
+        at least one row, every value finite."""
+        x = np.asarray(features, dtype=MODEL_DTYPE)
+        if x.ndim == 2 and x.shape[0] == 0:
+            raise ValueError("features must have at least one row")
+        if not np.isfinite(x).all():
+            raise ValueError("features must be finite (no NaN or inf)")
+        return x
+
     def _pad_rows(self, x: np.ndarray) -> np.ndarray:
         """Zero-pad an (n, d_model) matrix to (hw_seq_len, d_model)."""
         x = np.asarray(x, dtype=MODEL_DTYPE)
@@ -111,11 +127,12 @@ class TransformerAccelerator:
 
     def embed_tokens(self, tokens: np.ndarray) -> np.ndarray:
         """Decoder-input embedding lookup, scaled by sqrt(d_model)."""
-        t = np.asarray(tokens, dtype=np.int64)
+        t = np.asarray(tokens)
         if t.ndim != 1:
             raise ValueError("tokens must be a 1-D index array")
         if t.size == 0:
             raise ValueError("tokens must be non-empty")
+        _check_token_dtype(t)
         if t.min() < 0 or t.max() >= self.config.vocab_size:
             raise ValueError("token index out of vocabulary range")
         emb = self.params.embedding[t] * np.sqrt(
@@ -142,7 +159,8 @@ class TransformerAccelerator:
         the latency report.
         """
         arch = Architecture(architecture) if architecture else self.architecture
-        s_valid = np.asarray(features).shape[0]
+        features = self._check_features(features)
+        s_valid = features.shape[0]
         dec_embed = self.embed_tokens(tokens)
         t_valid = dec_embed.shape[0]
 
@@ -172,40 +190,6 @@ class TransformerAccelerator:
         """Log posterior over the vocabulary at each decoder position."""
         return log_softmax(self.forward(features, tokens).logits, axis=-1)
 
-    def step_fn(self, features: np.ndarray, use_kv_cache: bool = True):
-        """Build a decoding step function (see :mod:`repro.decoding`).
-
-        The encoder memory is computed once and reused.  With
-        ``use_kv_cache`` (the default) each step runs the KV-cached
-        decoder path — a 1-row query through the fabric, O(1) decoder
-        passes per token.  ``use_kv_cache=False`` keeps the legacy
-        full-prefix path for A/B comparison: every step re-runs the
-        full padded decoder stack at ``t = hw_seq_len``.
-        """
-        if use_kv_cache:
-            return self.decode_session(features).step_fn()
-        features = np.asarray(features, dtype=MODEL_DTYPE)
-        s_valid = features.shape[0]
-        enc_in = self._pad_rows(features)
-        enc_mask = self._key_mask(s_valid)
-        memory, _ = self.controller.run_encoder_stack(enc_in, mask=enc_mask)
-        memory_mask = self._key_mask(s_valid)
-
-        def step(tokens: np.ndarray) -> np.ndarray:
-            dec_embed = self.embed_tokens(tokens)
-            t_valid = dec_embed.shape[0]
-            dec_in = self._pad_rows(dec_embed)
-            self_mask = combine_masks(
-                causal_mask(self.hw_seq_len), self._key_mask(t_valid)
-            )
-            dec_out, _ = self.controller.run_decoder_stack(
-                dec_in, memory, self_mask=self_mask, memory_mask=memory_mask
-            )
-            logits = self.output_logits(dec_out[t_valid - 1])
-            return log_softmax(logits, axis=-1)
-
-        return step
-
     def decode_session(self, features: np.ndarray) -> "HwDecodeSession":
         """Open a KV-cached decode session for one utterance: encoder
         prefill plus cross-attention K/V projection, then cheap
@@ -228,7 +212,7 @@ class TransformerAccelerator:
         """
         if not features_list:
             raise ValueError("need at least one utterance to batch")
-        feats = [np.asarray(f, dtype=MODEL_DTYPE) for f in features_list]
+        feats = [self._check_features(f) for f in features_list]
         enc_in = np.stack([self._pad_rows(f) for f in feats])
         enc_mask = np.stack([self._key_mask(f.shape[0]) for f in feats])
         with obs_spans.tracer().span(
@@ -302,9 +286,9 @@ class HwDecodeSession:
         memory: np.ndarray | None = None,
     ) -> None:
         self.accel = accel
-        features = np.asarray(features, dtype=MODEL_DTYPE)
-        s_valid = features.shape[0]
         if memory is None:
+            features = accel._check_features(features)
+            s_valid = features.shape[0]
             enc_in = accel._pad_rows(features)
             enc_mask = accel._key_mask(s_valid)
             with obs_spans.tracer().span("hw.encoder_prefill", s=s_valid):
@@ -313,7 +297,9 @@ class HwDecodeSession:
                 )
         else:
             # Precomputed padded memory from a batched prefill
-            # (:meth:`TransformerAccelerator.decode_sessions_batch`).
+            # (:meth:`TransformerAccelerator.decode_sessions_batch`),
+            # which already checked ``features``.
+            s_valid = np.shape(features)[0]
             memory = np.asarray(memory, dtype=MODEL_DTYPE)
             if memory.shape != (accel.hw_seq_len, accel.config.d_model):
                 raise ValueError(
@@ -388,9 +374,10 @@ class HwDecodeSession:
         """Adapter for :mod:`repro.decoding`: prefix -> next log-probs."""
 
         def step(tokens: np.ndarray) -> np.ndarray:
-            tokens = np.asarray(tokens, dtype=np.int64)
+            tokens = np.asarray(tokens)
             if tokens.ndim != 1 or tokens.size == 0:
                 raise ValueError("tokens must be a non-empty 1-D prefix")
+            _check_token_dtype(tokens)
             common = 0
             for common, (have, want) in enumerate(
                 zip(self._tokens, tokens.tolist()), start=1

@@ -37,7 +37,6 @@ from repro.hw.program import (
     block_compute_cycles,
     execute_program,
     lower_decode_step,
-    lower_decoder_stack,
     lower_encoder_layer_program,
     lower_encoder_stack,
     lower_full_pass,
@@ -517,33 +516,6 @@ class AcceleratorController:
         )
         run = execute_program(
             program, root=self.params, inputs={"x": x, "enc_mask": mask}
-        )
-        return run.outputs["output"], run.block_compute_cycles
-
-    def run_decoder_stack(
-        self,
-        x: np.ndarray,
-        memory: np.ndarray,
-        self_mask: np.ndarray | None = None,
-        memory_mask: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, dict[str, int]]:
-        """Execute all decoder layers; returns (output, cycles/block)."""
-        program = lower_decoder_stack(
-            self.params.config,
-            self.fabric,
-            x.shape[-2],
-            memory.shape[-2],
-            self.parallel_heads,
-        )
-        run = execute_program(
-            program,
-            root=self.params,
-            inputs={
-                "x": x,
-                "memory": memory,
-                "self_mask": self_mask,
-                "memory_mask": memory_mask,
-            },
         )
         return run.outputs["output"], run.block_compute_cycles
 

@@ -13,7 +13,7 @@ The cache lives in on-chip BRAM banks next to the PSAs; feeding the
 ``t`` cached rows of one head into the array costs one 512-bit flit
 (16 fp32 values) per cycle, which :func:`kv_stream_cycles` accounts.
 All projections run through the :mod:`repro.hw.kernels` MM1 kernel so
-the functional values match the full-prefix path row for row.
+the functional values match the teacher-forced full pass row for row.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def project_cross_kv(
 ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
     """Project the cross-attention K/V of every head from the memory.
 
-    Runs the same MM1 + bias kernels as the full-prefix decoder, so the
+    Runs the same MM1 + bias kernels as the full-pass decoder, so the
     cached values are identical to what a per-step recomputation would
     produce.  Returns (keys, values, cycles); the cycles are the
     one-time prefill cost of filling the cache.

@@ -850,7 +850,7 @@ def _lower_encoder_stack_into(
     return x
 
 
-def _lower_decoder_stack_into(
+def _lower_full_decoder_stack_into(
     b: _Builder,
     model: ModelConfig,
     t: int,
@@ -860,7 +860,6 @@ def _lower_decoder_stack_into(
     memory: ValueRef,
     self_mask: str | None,
     memory_mask: str | None,
-    tag: str = "",
 ) -> ValueRef:
     fabric = b.fabric
     bpe = fabric.hardware.bytes_per_element
@@ -873,9 +872,9 @@ def _lower_decoder_stack_into(
     merged_load = _bundle_load_cycles(fabric, decoder_weight_bytes(model, bpe))
     prev_out: tuple[int, ...] = ()
     for i in range(model.num_decoders):
-        m_label = f"{tag}dec{i + 1}m"
-        f_label = f"{tag}dec{i + 1}f"
-        group = f"{tag}dec{i + 1}"
+        m_label = f"dec{i + 1}m"
+        f_label = f"dec{i + 1}f"
+        group = f"dec{i + 1}"
         mark = b.mark()
         _load_op(b, m_label, mha_load, 0)
         m_end: list[int] = []
@@ -896,7 +895,6 @@ def _lower_decoder_stack_into(
                 load_bytes=mha_bytes,
             )
         )
-        f_mark = b.mark()
         _load_op(b, f_label, ffn_load, 1)
         # The FFN ops were emitted before this load op by the layer
         # lowering; rebuild the f-part id range to include both.
@@ -912,7 +910,6 @@ def _lower_decoder_stack_into(
                 load_bytes=ffn_bytes,
             )
         )
-        del f_mark
         x = _opref(out)
         prev_out = (out,)
     return x
@@ -997,7 +994,7 @@ def lower_full_pass(
     memory = _lower_encoder_stack_into(
         b, model, s, parallel_heads, _ext("x"), "enc_mask"
     )
-    out = _lower_decoder_stack_into(
+    out = _lower_full_decoder_stack_into(
         b, model, t, s, parallel_heads, _ext("dec_in"), memory,
         "dec_self_mask", "dec_memory_mask",
     )
@@ -1020,26 +1017,6 @@ def lower_encoder_stack(
     out = _lower_encoder_stack_into(b, model, s, parallel_heads, _ext("x"), "enc_mask")
     return b.finish(
         {"output": out}, kind="encoder_stack", s=s,
-        parallel_heads=parallel_heads, model=model,
-    )
-
-
-@lru_cache(maxsize=128)
-def lower_decoder_stack(
-    model: ModelConfig,
-    fabric: Fabric,
-    t: int,
-    s: int,
-    parallel_heads: int | None = None,
-) -> BlockProgram:
-    """Lower the decoder stack alone (teacher-forced / full-prefix)."""
-    b = _Builder(fabric)
-    out = _lower_decoder_stack_into(
-        b, model, t, s, parallel_heads, _ext("x"), _ext("memory"),
-        "self_mask", "memory_mask",
-    )
-    return b.finish(
-        {"output": out}, kind="decoder_stack", t=t, s=s,
         parallel_heads=parallel_heads, model=model,
     )
 
@@ -1178,7 +1155,6 @@ def block_compute_cycles(program: BlockProgram, block: BlockIR | str) -> int:
 _CACHED_LOWERINGS = [
     lower_full_pass,
     lower_encoder_stack,
-    lower_decoder_stack,
     lower_decode_step,
     lower_mha_program,
     lower_ffn_program,
@@ -1660,7 +1636,6 @@ __all__ = [
     "resolve_head_parallelism",
     "lower_full_pass",
     "lower_encoder_stack",
-    "lower_decoder_stack",
     "lower_decode_step",
     "lower_mha_program",
     "lower_ffn_program",

@@ -6,8 +6,6 @@ attention encoder-decoder with d_model=512, 8 heads and d_ff=2048
 must agree numerically with this implementation.
 """
 
-from repro.model.batched import BatchedTransformer
-from repro.model.incremental import IncrementalDecoder
 from repro.model.attention import (
     attention_head,
     multi_head_attention,
@@ -39,8 +37,6 @@ from repro.model.params import (
 from repro.model.transformer import Transformer
 
 __all__ = [
-    "BatchedTransformer",
-    "IncrementalDecoder",
     "attention_head",
     "multi_head_attention",
     "scaled_dot_product_attention",

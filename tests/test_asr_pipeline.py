@@ -6,8 +6,11 @@ import pytest
 from repro.asr.dataset import LibriSpeechLikeDataset
 from repro.asr.pipeline import AsrPipeline, HostPreprocessor, HostTimingModel
 from repro.config import ModelConfig
+from repro.decoding.beam import beam_search
+from repro.decoding.greedy import greedy_decode
 from repro.decoding.vocab import CharVocabulary
 from repro.model.params import init_transformer_params
+from repro.model.transformer import Transformer
 
 
 @pytest.fixture(scope="module")
@@ -135,41 +138,82 @@ class TestPipeline:
         assert AsrPipeline(small_params, hw_seq_len=32).max_output_chars == 31
 
 
+def golden_step(params, features):
+    """The oracle: the golden model's full-prefix recompute."""
+    model = Transformer(params)
+    return lambda prefix: model.log_probs(features, prefix)[-1]
+
+
 class TestDecodeEngines:
+    """The pipeline's one decode path (the KV-cached hw session) against
+    the golden model's full-prefix recompute."""
+
     def test_incremental_matches_hw_engine_transcript(
-        self, small_params, utterance
+        self, small_params, pipeline, utterance
     ):
-        hw = AsrPipeline(small_params, hw_seq_len=32)
-        inc = AsrPipeline(small_params, hw_seq_len=32, decode_engine="incremental")
-        r_hw = hw.transcribe(utterance.waveform)
-        r_inc = inc.transcribe(utterance.waveform)
-        assert r_hw.text == r_inc.text
-        np.testing.assert_array_equal(r_hw.tokens, r_inc.tokens)
+        """Token-by-token greedy decode through the pipeline emits the
+        oracle's tokens and text."""
+        vocab = pipeline.vocab
+        features = pipeline.preprocessor(utterance.waveform)
+        expected = greedy_decode(
+            golden_step(small_params, features),
+            vocab.sos_id, vocab.eos_id, max_len=pipeline.max_output_chars,
+        )
+        result = pipeline.transcribe(utterance.waveform)
+        np.testing.assert_array_equal(result.tokens, expected)
+        assert result.text == vocab.decode(expected)
 
-    def test_legacy_full_prefix_matches_cached(self, small_params, utterance):
-        """'hw' (KV-cached) and 'hw-full' (legacy full-prefix) are the
-        same computation at different cost."""
-        cached = AsrPipeline(small_params, hw_seq_len=32)
-        full = AsrPipeline(small_params, hw_seq_len=32, decode_engine="hw-full")
-        r_cached = cached.transcribe(utterance.waveform)
-        r_full = full.transcribe(utterance.waveform)
-        assert r_cached.text == r_full.text
-        np.testing.assert_array_equal(r_cached.tokens, r_full.tokens)
+    def test_legacy_full_prefix_matches_cached(
+        self, small_params, pipeline, utterance
+    ):
+        """A precomputed session (the batch driver's injection path)
+        decodes to the oracle's full-prefix greedy tokens."""
+        vocab = pipeline.vocab
+        features = pipeline.preprocessor(utterance.waveform)
+        expected = greedy_decode(
+            golden_step(small_params, features),
+            vocab.sos_id, vocab.eos_id, max_len=pipeline.max_output_chars,
+        )
+        session = pipeline.accelerator.decode_session(features)
+        result = pipeline.transcribe(
+            utterance.waveform, features=features, session=session
+        )
+        np.testing.assert_array_equal(result.tokens, expected)
 
-    def test_beam_search_on_cached_engine(self, small_params, utterance):
-        """Beam search drives the KV-cached session via rewinds; it
-        must agree with the stateless legacy path."""
-        cached = AsrPipeline(small_params, hw_seq_len=32)
-        full = AsrPipeline(small_params, hw_seq_len=32, decode_engine="hw-full")
-        r_cached = cached.transcribe(utterance.waveform, beam_size=2)
-        r_full = full.transcribe(utterance.waveform, beam_size=2)
-        np.testing.assert_array_equal(r_cached.tokens, r_full.tokens)
+    def test_beam_search_on_cached_engine(
+        self, small_params, pipeline, utterance
+    ):
+        """Beam search drives the KV-cached session via rewinds; its
+        best hypothesis must be the oracle's."""
+        vocab = pipeline.vocab
+        features = pipeline.preprocessor(utterance.waveform)
+        hyps = beam_search(
+            golden_step(small_params, features),
+            vocab.sos_id, vocab.eos_id,
+            max_len=pipeline.max_output_chars, beam_size=2,
+        )
+        result = pipeline.transcribe(utterance.waveform, beam_size=2)
+        np.testing.assert_array_equal(result.tokens, hyps[0].tokens[1:])
 
-    def test_beam_rejected_on_incremental(self, small_params, utterance):
-        inc = AsrPipeline(small_params, hw_seq_len=32, decode_engine="incremental")
-        with pytest.raises(ValueError):
-            inc.transcribe(utterance.waveform, beam_size=2)
 
-    def test_unknown_engine_rejected(self, small_params):
-        with pytest.raises(ValueError):
-            AsrPipeline(small_params, decode_engine="magic")
+class TestConstructorValidation:
+    @pytest.mark.parametrize(
+        "value", [2.5, float("nan"), True, "8", 32, 100]
+    )
+    def test_rejects_bad_max_output_chars(self, small_params, value):
+        with pytest.raises(ValueError, match="max_output_chars"):
+            AsrPipeline(small_params, hw_seq_len=32, max_output_chars=value)
+
+    def test_output_budget_must_fit_the_hardware(self, small_params):
+        """Used to be accepted, then fail mid-decode with "decoder prefix
+        would exceed the hardware length 8"."""
+        with pytest.raises(ValueError, match="max_output_chars"):
+            AsrPipeline(small_params, hw_seq_len=8, max_output_chars=100)
+
+    @pytest.mark.parametrize("value", [1, 31, np.int64(5)])
+    def test_accepts_budgets_inside_the_hardware(self, small_params, value):
+        pipeline = AsrPipeline(
+            small_params, hw_seq_len=32, max_output_chars=value
+        )
+        assert pipeline.max_output_chars == value
+        assert type(pipeline.max_output_chars) is int

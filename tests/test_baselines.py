@@ -167,16 +167,3 @@ class TestRoofline:
             RooflineModel(peak_gflops=0, bandwidth_gbps=1)
         with pytest.raises(ValueError):
             RooflineModel(1, 1).attainable_gflops(0)
-
-
-class TestBatchedBaseline:
-    def test_batched_latency_positive(self, small_config):
-        baseline = MeasuredCpuBaseline(small_config)
-        assert baseline.batched_latency_s(8, batch=2) > 0
-
-    def test_batched_validation(self, small_config):
-        baseline = MeasuredCpuBaseline(small_config)
-        with pytest.raises(ValueError):
-            baseline.batched_latency_s(0)
-        with pytest.raises(ValueError):
-            baseline.batched_latency_s(8, batch=0)

@@ -54,12 +54,18 @@ class TestNonFiniteInjection:
     produce plausible-looking numbers."""
 
     def test_nan_features_poison_logits(self, small_params):
+        """The accelerator rejects NaN features where they enter; below
+        that check, a NaN that reaches the fabric still poisons the
+        decoder output instead of vanishing."""
         accel = TransformerAccelerator(small_params, hw_seq_len=8)
-        feats = np.zeros((4, 512), dtype=np.float32)
+        feats = np.zeros((8, 512), dtype=np.float32)
         feats[2, 100] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            accel.forward(feats[:4], np.array([0]))
+        dec_in = accel.embed_tokens(np.zeros(8, dtype=np.int64))
         with np.errstate(invalid="ignore"):
-            out = accel.forward(feats, np.array([0]))
-        assert not np.all(np.isfinite(out.logits))
+            run = accel.controller.run(feats, dec_in)
+        assert not np.all(np.isfinite(run.decoder_output))
 
     def test_nan_weight_detected_in_kernel(self, fabric, rng):
         x = rng.standard_normal((4, 512)).astype(np.float32)

@@ -64,14 +64,14 @@ class TestStepFn:
     def test_step_matches_forward(self, accel, rng):
         feats = rng.standard_normal((6, 512)).astype(np.float32)
         toks = np.array([0, 7, 9])
-        step = accel.step_fn(feats)
+        step = accel.decode_session(feats).step_fn()
         lp_step = step(toks)
         lp_fwd = accel.log_probs(feats, toks)[-1]
         np.testing.assert_allclose(lp_step, lp_fwd, rtol=1e-4, atol=1e-5)
 
     def test_step_returns_1d(self, accel, rng):
         feats = rng.standard_normal((4, 512)).astype(np.float32)
-        step = accel.step_fn(feats)
+        step = accel.decode_session(feats).step_fn()
         assert step(np.array([0])).shape == (accel.config.vocab_size,)
 
 
@@ -98,6 +98,66 @@ class TestValidation:
     def test_rejects_bad_hw_seq_len(self, small_params):
         with pytest.raises(ValueError):
             TransformerAccelerator(small_params, hw_seq_len=0)
+
+    @pytest.mark.parametrize("value", [2.5, True, float("nan"), -3, "16"])
+    def test_rejects_non_integer_hw_seq_len(self, small_params, value):
+        with pytest.raises(ValueError, match="hw_seq_len"):
+            TransformerAccelerator(small_params, hw_seq_len=value)
+
+    def test_accepts_numpy_integer_hw_seq_len(self, small_params):
+        accel = TransformerAccelerator(small_params, hw_seq_len=np.int64(8))
+        assert accel.hw_seq_len == 8 and type(accel.hw_seq_len) is int
+
+
+#: Each way encoder features enter the accelerator.
+FEATURE_ENTRIES = {
+    "forward": lambda accel, f: accel.forward(f, np.array([0])),
+    "decode_session": lambda accel, f: accel.decode_session(f),
+    "decode_sessions_batch": lambda accel, f: accel.decode_sessions_batch(
+        [np.ones((3, 512), dtype=np.float32), f]
+    ),
+}
+
+
+class TestInputEnvelope:
+    """Out-of-envelope inputs used to be accepted: a 0-row feature
+    matrix gave finite log-probs over a fully masked memory, NaN
+    features flowed through, and a float token id was truncated."""
+
+    @pytest.mark.parametrize("entry", sorted(FEATURE_ENTRIES))
+    def test_rejects_zero_row_features(self, accel, entry):
+        with pytest.raises(ValueError, match="features"):
+            FEATURE_ENTRIES[entry](accel, np.zeros((0, 512), dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", sorted(FEATURE_ENTRIES))
+    def test_rejects_non_finite_features(self, accel, rng, entry, bad):
+        feats = rng.standard_normal((4, 512)).astype(np.float32)
+        feats[2, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FEATURE_ENTRIES[entry](accel, feats)
+
+    @pytest.mark.parametrize(
+        "tokens", [np.array([1.7]), np.array([1.0, 2.0]), np.array([True])]
+    )
+    def test_rejects_non_integer_tokens(self, accel, tokens):
+        with pytest.raises(ValueError, match="integer dtype"):
+            accel.embed_tokens(tokens)
+
+    def test_empty_tokens_still_report_non_empty(self, accel):
+        with pytest.raises(ValueError, match="non-empty"):
+            accel.embed_tokens(np.array([]))
+
+    def test_step_fn_rejects_float_prefix(self, accel, rng):
+        feats = rng.standard_normal((4, 512)).astype(np.float32)
+        step = accel.decode_session(feats).step_fn()
+        with pytest.raises(ValueError, match="integer dtype"):
+            step(np.array([0.0, 7.0]))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_accepts_integer_tokens(self, accel, dtype):
+        emb = accel.embed_tokens(np.array([0, 7], dtype=dtype))
+        assert emb.shape == (2, 512)
 
 
 class TestLatencyIntegration:

@@ -102,7 +102,7 @@ class TestBatchedKernels:
 
 
 class TestBatchedEncoderStack:
-    def test_batched_prefill_bit_identical(self, small_params):
+    def test_batched_encoder_prefill_bit_identical(self, small_params):
         ctrl = AcceleratorController(small_params)
         rng = _rng(7)
         xs = _f32(rng, 2, 6, small_params.config.d_model)

@@ -155,25 +155,27 @@ class TestEncoderBlock:
             )
 
 
-def one_decoder_controller() -> AcceleratorController:
-    """A controller whose decoder stack is exactly ``DEC``."""
-    config = PARAMS.config.with_depth(PARAMS.config.num_encoders, 1)
-    params = dataclasses.replace(PARAMS, config=config, decoders=(DEC,))
-    return AcceleratorController(params)
+def run_one_decoder(x, memory):
+    """A full pass of a controller with no encoders and exactly ``DEC``
+    as its decoder stack: the encoder input passes through unchanged as
+    the memory, so the decoder output is ``DEC`` applied to ``x``."""
+    config = PARAMS.config.with_depth(0, 1)
+    params = dataclasses.replace(
+        PARAMS, config=config, encoders=(), decoders=(DEC,)
+    )
+    return AcceleratorController(params).run(
+        memory, x, dec_self_mask=causal_mask(S)
+    )
 
 
 class TestDecoderBlock:
     def test_matches_reference(self, fabric, x, memory):
-        out, _ = one_decoder_controller().run_decoder_stack(
-            x, memory, self_mask=causal_mask(S)
-        )
+        out = run_one_decoder(x, memory).decoder_output
         ref = decoder_layer(x, memory, DEC)
         np.testing.assert_allclose(out, ref, rtol=1e-3, atol=2e-3)
 
     def test_cycle_split_matches_estimator(self, fabric, x, memory):
-        _, cycles = one_decoder_controller().run_decoder_stack(
-            x, memory, self_mask=causal_mask(S)
-        )
+        cycles = run_one_decoder(x, memory).block_compute_cycles
         m, f = LatencyModel().decoder_compute_cycles(S)
         assert cycles["dec1m"] == m
         assert cycles["dec1f"] == f

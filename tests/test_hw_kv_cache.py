@@ -1,16 +1,17 @@
-"""KV-cached hardware decode: equivalence against the legacy
-full-prefix path and the host-side incremental reference, plus unit
-tests for the cache itself and the autoregressive latency account."""
+"""KV-cached hardware decode: equivalence against the golden model,
+plus unit tests for the cache itself and the autoregressive latency
+account."""
 
 import numpy as np
 import pytest
 
 from repro.config import ModelConfig
+from repro.decoding.beam import beam_search
 from repro.decoding.greedy import greedy_decode
 from repro.hw.accelerator import TransformerAccelerator
 from repro.hw.kv_cache import LayerKVCache, kv_stream_cycles
-from repro.model.incremental import IncrementalDecoder
 from repro.model.params import init_transformer_params
+from repro.model.transformer import Transformer
 
 SOS, EOS = 1, 2
 
@@ -35,19 +36,24 @@ def _features(hw_seq_len: int, padding: str, d_model: int) -> np.ndarray:
     return (0.5 * rng.standard_normal((s, d_model))).astype(np.float32)
 
 
+def golden_step(params, features):
+    """The oracle: the golden model recomputes the whole prefix (on the
+    un-padded features) and returns the last position's log-probs."""
+    model = Transformer(params)
+    return lambda prefix: model.log_probs(features, prefix)[-1]
+
+
 @pytest.mark.parametrize("padding", ["padded", "exact"])
 @pytest.mark.parametrize("hw_seq_len", [8, 16, 32])
 class TestEngineEquivalence:
-    """Legacy full-prefix, KV-cached hw step and the incremental
-    reference must agree token for token and log-prob for log-prob."""
+    """The KV-cached hw session must agree with the golden model token
+    for token and log-prob for log-prob."""
 
     def test_step_log_probs_agree(self, eq_params, hw_seq_len, padding):
         accel = TransformerAccelerator(eq_params, hw_seq_len=hw_seq_len)
         features = _features(hw_seq_len, padding, eq_params.config.d_model)
-        legacy = accel.step_fn(features, use_kv_cache=False)
-        session = accel.decode_session(features)
-        cached = session.step_fn()
-        reference = IncrementalDecoder(eq_params, session.memory).step_fn()
+        cached = accel.decode_session(features).step_fn()
+        oracle = golden_step(eq_params, features)
 
         # A scripted prefix guarantees several multi-token steps even
         # if greedy decoding would stop immediately.
@@ -55,34 +61,49 @@ class TestEngineEquivalence:
         limit = min(len(script), hw_seq_len - 1)
         for n in range(1, limit + 1):
             prefix = np.asarray(script[:n], dtype=np.int64)
-            lp_legacy = legacy(prefix)
-            lp_cached = cached(prefix)
-            lp_reference = reference(prefix)
             np.testing.assert_allclose(
-                lp_cached, lp_legacy, atol=1e-5, rtol=0
-            )
-            np.testing.assert_allclose(
-                lp_reference, lp_legacy, atol=1e-5, rtol=0
+                cached(prefix), oracle(prefix), atol=1e-5, rtol=0
             )
 
     def test_greedy_tokens_identical(self, eq_params, hw_seq_len, padding):
         accel = TransformerAccelerator(eq_params, hw_seq_len=hw_seq_len)
         features = _features(hw_seq_len, padding, eq_params.config.d_model)
         max_len = hw_seq_len - 1
-        legacy_tokens = greedy_decode(
-            accel.step_fn(features, use_kv_cache=False),
-            sos_id=SOS, eos_id=EOS, max_len=max_len,
-        )
-        session = accel.decode_session(features)
         cached_tokens = greedy_decode(
-            session.step_fn(), sos_id=SOS, eos_id=EOS, max_len=max_len
-        )
-        reference_tokens = greedy_decode(
-            IncrementalDecoder(eq_params, session.memory).step_fn(),
+            accel.decode_session(features).step_fn(),
             sos_id=SOS, eos_id=EOS, max_len=max_len,
         )
-        np.testing.assert_array_equal(cached_tokens, legacy_tokens)
-        np.testing.assert_array_equal(reference_tokens, legacy_tokens)
+        oracle_tokens = greedy_decode(
+            golden_step(eq_params, features),
+            sos_id=SOS, eos_id=EOS, max_len=max_len,
+        )
+        np.testing.assert_array_equal(cached_tokens, oracle_tokens)
+
+    @pytest.mark.parametrize("beam_size", [2, 3])
+    def test_beam_hypotheses_identical(
+        self, eq_params, hw_seq_len, padding, beam_size
+    ):
+        """Beam search branches, so the session rewinds its caches to
+        the common stem and replays; every hypothesis must still match
+        the oracle's, token for token."""
+        accel = TransformerAccelerator(eq_params, hw_seq_len=hw_seq_len)
+        features = _features(hw_seq_len, padding, eq_params.config.d_model)
+        max_len = hw_seq_len - 1
+        session = accel.decode_session(features)
+        cached = beam_search(
+            session.step_fn(), SOS, EOS, max_len=max_len, beam_size=beam_size
+        )
+        oracle = beam_search(
+            golden_step(eq_params, features), SOS, EOS,
+            max_len=max_len, beam_size=beam_size,
+        )
+        assert [h.tokens for h in cached] == [h.tokens for h in oracle]
+        np.testing.assert_allclose(
+            [h.score for h in cached], [h.score for h in oracle],
+            atol=1e-5, rtol=0,
+        )
+        # The rewind path really ran: more steps than any one prefix.
+        assert session.steps_executed > max(len(h.tokens) for h in cached)
 
 
 class TestKvStreamCycles:

@@ -43,7 +43,7 @@ class TestFullPipelineIntegration:
             return ref.log_probs(feats, tokens)[-1]
 
         hw_tokens = greedy_decode(
-            accel.step_fn(feats), vocab.sos_id, vocab.eos_id, max_len=8
+            accel.decode_session(feats).step_fn(), vocab.sos_id, vocab.eos_id, max_len=8
         )
         ref_tokens = greedy_decode(
             ref_step, vocab.sos_id, vocab.eos_id, max_len=8
